@@ -7,7 +7,6 @@ with deterministic DOT/JSON output and a named verification suite.
 
 from .config import default_vertex_cap
 from .errors import (
-    NonFreeActionError,
     QuiverkitError,
     QuiverkitWarning,
     SizeCapError,
@@ -37,8 +36,6 @@ from .orbit import (
     ZARule,
     classify_components,
     orbit_quiver,
-    shift,
-    za_arrows_and_tau,
 )
 from .polygon import (
     crossing,
@@ -70,7 +67,6 @@ from .quiver import (
     restrict_translation_quiver,
     split_components,
     tau_orbits,
-    translation_components,
     validate_translation_quiver,
     vertex_key,
     vertex_label,
@@ -87,7 +83,6 @@ __all__ = [
     "ComponentReport",
     "ExchangeMatrix",
     "LaurentFraction",
-    "NonFreeActionError",
     "OrbitQuiver",
     "PowerQuiver",
     "Quiver",
@@ -133,15 +128,12 @@ __all__ = [
     "row_of",
     "run_checks",
     "sectional_paths",
-    "shift",
     "split_components",
     "tau_orbits",
     "to_dot",
     "to_json",
-    "translation_components",
     "validate_translation_quiver",
     "variables",
     "vertex_key",
     "vertex_label",
-    "za_arrows_and_tau",
 ]

@@ -11,7 +11,7 @@ import argparse
 import json
 import sys
 
-from .errors import NonFreeActionError, SizeCapError
+from .errors import SizeCapError
 from .export import components_dot, components_json_dict, quiver_json_dict, to_dot
 from .mutation import (
     ExchangeMatrix,
@@ -87,8 +87,6 @@ def _cmd_classify(args) -> int:
             tag = f"orbit_quiver(k={k}, s={s}, r={r})"
             if len(comp.all_matches) > 1:
                 tag += f" (+{len(comp.all_matches) - 1} more)"
-        elif comp.non_free:
-            tag = "unmatched (non-free)"
         else:
             tag = "unmatched"
         lines.append(f"  component of {comp.size} vertices: {tag}")
@@ -253,7 +251,7 @@ def main(argv: list[str] | None = None) -> int:
     except SizeCapError as exc:
         sys.stderr.write(f"size cap: {exc}\n")
         return 3
-    except (ValueError, IndexError, NonFreeActionError, ZeroDivisionError) as exc:
+    except (ValueError, IndexError, ZeroDivisionError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

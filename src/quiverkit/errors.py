@@ -11,11 +11,6 @@ class SizeCapError(QuiverkitError):
     """An instance exceeds the configured size cap for an operation."""
 
 
-class NonFreeActionError(QuiverkitError):
-    """An automorphism of the infinite strip fixes a vertex, so no
-    quotient translation quiver exists."""
-
-
 class QuiverkitWarning(UserWarning):
     """Non-fatal report, e.g. a translation map leaking out of a
     connected component."""

@@ -229,6 +229,7 @@ def is_laurent(x: LaurentFraction) -> bool:
 class ExchangeMatrix:
     """Square integer matrix driving the exchange relation.
 
+    Entries must be integers within int64, else ``ValueError``.
     Construction does not require sign-skew-symmetry (mutation can leave
     that class); call :meth:`validate` to enforce it at boundaries.
     """
@@ -236,7 +237,12 @@ class ExchangeMatrix:
     __slots__ = ("_m",)
 
     def __init__(self, rows):
-        a = np.array(rows, dtype=np.int64)
+        # Floats, ints beyond int64 and non-numbers infer a float, object
+        # or string dtype; casting those to int64 would truncate or raise.
+        a = np.array(rows)
+        if a.dtype.kind != "i":
+            raise ValueError("exchange matrix entries must be integers within int64")
+        a = a.astype(np.int64, copy=False)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError("exchange matrix must be square")
         a.setflags(write=False)

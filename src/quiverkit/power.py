@@ -78,16 +78,10 @@ def sectional_paths(tq: TranslationQuiver, length: int) -> list[Path]:
 
 def compose_tau(tq: TranslationQuiver, times: int) -> dict:
     """The translation composed with itself ``times`` times (partial)."""
-    tau = {}
-    for v in tq.sorted_vertices():
-        w = v
-        for _ in range(times):
-            w = tq.tau_of(w)
-            if w is None:
-                break
-        else:
-            tau[v] = w
-            continue
+    step = tq.tau
+    tau = {v: v for v in tq.sorted_vertices()}
+    for _ in range(times):
+        tau = {v: step[w] for v, w in tau.items() if w in step}
     return tau
 
 
@@ -130,6 +124,30 @@ def decompose(pq: PowerQuiver | TranslationQuiver) -> list[TranslationQuiver]:
     return split_components(tq)
 
 
+def _gamma_power_components(
+    n: int, m: int, cap: int | None
+) -> tuple[TranslationQuiver, list[TranslationQuiver]]:
+    """Components of ``power(gamma(n*m, 1), m)``: the one through (1, m+2), then the rest.
+
+    Raises :class:`SizeCapError` when ``gamma(n*m, 1)`` has more vertices
+    than ``cap`` (default :func:`default_vertex_cap`).
+    """
+    if n < 2 or m < 1:
+        raise ValueError(f"need n >= 2 and m >= 1, got n={n}, m={m}")
+    N = n * m + 2
+    cap_val = default_vertex_cap() if cap is None else cap
+    base_size = N * (N - 3) // 2
+    if base_size > cap_val:
+        raise SizeCapError(
+            f"power decomposition capped at {cap_val} vertices "
+            f"(gamma({n * m},1) has {base_size})"
+        )
+    seed = (1, m + 2)
+    comps = decompose(power(gamma(n * m, 1), m))
+    principal = next(c for c in comps if seed in c.vertices)
+    return principal, [c for c in comps if c is not principal]
+
+
 def principal_component(
     n: int, m: int, cap: int | None = None, check: bool = True
 ) -> TranslationQuiver:
@@ -139,27 +157,11 @@ def principal_component(
     isomorphism is verified and an ``AssertionError`` means a genuine
     defect, not a recoverable condition.
     """
-    if n < 2:
-        raise ValueError(f"need n >= 2, got n={n}")
-    if m < 1:
-        raise ValueError(f"need m >= 1, got m={m}")
-    N = n * m + 2
-    cap_val = default_vertex_cap() if cap is None else cap
-    base_size = N * (N - 3) // 2
-    if base_size > cap_val:
-        raise SizeCapError(
-            f"power decomposition capped at {cap_val} vertices "
-            f"(gamma({n * m},1) has {base_size})"
+    comp, _ = _gamma_power_components(n, m, cap)
+    if check:
+        phi = iso_translation_quivers(comp, gamma(n, m), cap=cap)
+        assert phi is not None, (
+            f"component through (1, {m + 2}) of the {m}-th power of "
+            f"gamma({n * m},1) is not isomorphic to gamma({n},{m})"
         )
-    pq = power(gamma(n * m, 1), m)
-    seed = (1, m + 2)
-    for comp in decompose(pq):
-        if seed in comp.vertices:
-            if check:
-                phi = iso_translation_quivers(comp, gamma(n, m), cap=cap)
-                assert phi is not None, (
-                    f"component through {seed} of the {m}-th power of "
-                    f"gamma({n * m},1) is not isomorphic to gamma({n},{m})"
-                )
-            return comp
-    raise AssertionError(f"vertex {seed} missing from the power of gamma({n * m},1)")
+    return comp

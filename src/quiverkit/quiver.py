@@ -277,57 +277,24 @@ def validate_translation_quiver(tq: TranslationQuiver) -> ValidationResult:
 
 
 def connected_components(q: Quiver | TranslationQuiver) -> list[frozenset]:
-    """Weakly connected components, arrows treated as undirected edges.
+    """Weakly connected components, links treated as undirected edges.
 
-    Translation edges do not contribute to connectivity.  The list is
-    sorted by (size descending, smallest vertex).
+    A :class:`Quiver` is linked by its arrows; a :class:`TranslationQuiver`
+    by its arrows and its translation, which ties together arrow-less
+    vertices such as the diagonals of a square.  The list is sorted by
+    (size descending, smallest vertex).
     """
+    links = q.arrows
     if isinstance(q, TranslationQuiver):
-        q = q.quiver
-    seen: set = set()
-    comps: list[frozenset] = []
-    for start in q.sorted_vertices():
-        if start in seen:
-            continue
-        comp = {start}
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for w, _ in q.out(v):
-                if w not in comp and w in q.vertices:
-                    comp.add(w)
-                    stack.append(w)
-            for w, _ in q.into(v):
-                if w not in comp and w in q.vertices:
-                    comp.add(w)
-                    stack.append(w)
-        seen |= comp
-        comps.append(frozenset(comp))
-    comps.sort(key=lambda c: (-len(c), min(vertex_key(v) for v in c)))
-    return comps
-
-
-def translation_components(tq: TranslationQuiver) -> list[frozenset]:
-    """Components of a translation quiver: arrows plus translation links.
-
-    Arrow-connected components that the translation maps into each other
-    are merged; this matters only for quivers with arrow-less vertices
-    (e.g. the diagonal quiver of a square), where the translation is the
-    only structure tying the vertex set together.  Sorted like
-    :func:`connected_components`.
-    """
-    adj: dict[Vertex, set[Vertex]] = {v: set() for v in tq.vertices}
-    for s, t in tq.arrows:
+        links += tuple(q.tau.items())
+    adj: dict[Vertex, set[Vertex]] = {v: set() for v in q.vertices}
+    for s, t in links:
         if s in adj and t in adj:
             adj[s].add(t)
             adj[t].add(s)
-    for y, ty in tq.tau.items():
-        if y in adj and ty in adj:
-            adj[y].add(ty)
-            adj[ty].add(y)
     seen: set = set()
     comps: list[frozenset] = []
-    for start in tq.sorted_vertices():
+    for start in q.sorted_vertices():
         if start in seen:
             continue
         comp = {start}
@@ -365,23 +332,17 @@ def restrict_translation_quiver(
     return sub, tuple(dropped)
 
 
-def split_components(
-    tq: TranslationQuiver, warn: bool = True, use_tau: bool = True
-) -> list[TranslationQuiver]:
+def split_components(tq: TranslationQuiver) -> list[TranslationQuiver]:
     """One restricted translation quiver per component.
 
-    By default components follow arrows and translation links (see
-    :func:`translation_components`); pass ``use_tau=False`` for the
-    arrows-only notion.  If tau maps a component outside itself this is
-    reported as a warning, never a failure.
+    Components follow arrows and translation links (see
+    :func:`connected_components`).  If tau maps a component outside
+    itself this is reported as a warning, never a failure.
     """
-    parts = (
-        translation_components(tq) if use_tau else connected_components(tq.quiver)
-    )
     out = []
-    for comp in parts:
+    for comp in connected_components(tq):
         sub, dropped = restrict_translation_quiver(tq, comp)
-        if dropped and warn:
+        if dropped:
             pairs = ", ".join(
                 f"{vertex_label(y)}->{vertex_label(t)}" for y, t in dropped
             )

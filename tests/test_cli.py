@@ -121,6 +121,21 @@ class TestMutate:
         assert code == 2
         assert "sign-skew" in err
 
+    @pytest.mark.parametrize(
+        "matrix",
+        [
+            "[[0,1e30],[-1,0]]",
+            "[[0,100000000000000000000],[-1,0]]",
+            '{"a":1}',
+            "[[0,1.5],[-1,0]]",
+        ],
+    )
+    def test_non_integer_entries_are_usage_errors(self, capsys, matrix):
+        code, out, err = run(capsys, "mutate", "--matrix", matrix)
+        assert code == 2
+        assert out == ""
+        assert "integers within int64" in err
+
 
 class TestAngulations:
     def test_hexagon_count(self, capsys):

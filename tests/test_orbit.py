@@ -2,17 +2,21 @@
 
 import pytest
 
+import quiverkit.orbit
 from quiverkit import (
-    NonFreeActionError,
+    Quiver,
     SizeCapError,
+    TranslationQuiver,
+    ZARule,
     classify_components,
+    decompose,
     gamma,
     iso_translation_quivers,
     orbit_quiver,
-    shift,
+    power,
     validate_translation_quiver,
-    za_arrows_and_tau,
 )
+from quiverkit.orbit import _match_component, _normal_forms
 
 
 def window_orbit_count(k, s, r):
@@ -21,7 +25,7 @@ def window_orbit_count(k, s, r):
     Every orbit crosses the core strip and forms a single chain inside
     the window, so counting classes that meet the core is exact.
     """
-    rule = za_arrows_and_tau(k)
+    rule = ZARule(k)
 
     def act(v):
         for _ in range(r):
@@ -58,42 +62,91 @@ def window_orbit_count(k, s, r):
     )
 
 
+def searched_matches(comp, n, m):
+    """Reference matcher: every (k, s, r) with orbit_quiver(k, s, r) ~ comp.
+
+    k ranges over 1..n*m-1 and r over 1..m; for fixed (k, r) the quotient
+    size grows strictly with s, so s is scanned until the sizes pass the
+    component size.  All size-matching triples are iso-tested.
+    """
+    size = len(comp.vertices)
+    matches = []
+    for k in range(1, n * m):
+        for r in range(1, m + 1):
+            s = 0
+            while True:
+                oq = orbit_quiver(k, s, r)
+                if oq.vertex_count > size:
+                    break
+                if oq.vertex_count == size and iso_translation_quivers(
+                    comp, oq.quotient
+                ):
+                    matches.append((k, s, r))
+                s += 1
+    return tuple(sorted(matches))
+
+
+def non_principal_components(n, m):
+    comps = decompose(power(gamma(n * m, 1), m))
+    return [c for c in comps if (1, m + 2) not in c.vertices]
+
+
+def zd_quotient(n, period):
+    """ZD_n / tau^-period: a stable translation quiver of tree class D_n."""
+    edges = [(i, i + 1) for i in range(1, n - 1)] + [(n - 2, n)]
+    verts = [(p, i) for p in range(period) for i in range(1, n + 1)]
+    arrows = [
+        arrow
+        for p in range(period)
+        for i, j in edges
+        for arrow in (((p, i), (p, j)), ((p, j), ((p + 1) % period, i)))
+    ]
+    tau = {(p, i): ((p - 1) % period, i) for p, i in verts}
+    return TranslationQuiver(Quiver(verts, arrows), tau)
+
+
+def normal_form(k, s, r):
+    """(k, S, rho) with tau^-s ∘ [r] = tau^-S ∘ [rho] on the k-row strip."""
+    return (k, s + (k + 1) * (r // 2), r % 2)
+
+
 class TestStripRule:
     def test_arrows_of_a3(self):
-        rule = za_arrows_and_tau(3)
+        rule = ZARule(3)
         assert rule.arrows_from((0, 1)) == ((0, 2),)
         assert rule.arrows_from((0, 2)) == ((0, 3), (1, 1))
         assert rule.arrows_into((1, 1)) == ((0, 2),)
 
     def test_translation(self):
-        rule = za_arrows_and_tau(3)
+        rule = ZARule(3)
         assert rule.tau((5, 2)) == (4, 2)
         assert rule.tau_inv(rule.tau((5, 2))) == (5, 2)
 
     def test_window_satisfies_mesh_axiom(self):
-        rule = za_arrows_and_tau(3)
+        rule = ZARule(3)
         win = rule.window(-5, 5)
         res = validate_translation_quiver(win)
         assert res.ok
         assert not res.stable  # the leftmost slice has no translate
 
     def test_window_of_one_row_has_no_arrows(self):
-        assert za_arrows_and_tau(1).window(0, 4).arrows == ()
+        assert ZARule(1).window(0, 4).arrows == ()
 
 
 class TestShift:
     def test_moves_to_next_triangle(self):
-        assert shift(3, (0, 1)) == (1, 3)
-        assert shift(3, shift(3, (0, 1))) == (4, 1)
+        rule = ZARule(3)
+        assert rule.shift((0, 1)) == (1, 3)
+        assert rule.shift(rule.shift((0, 1))) == (4, 1)
 
     def test_single_row_shift_is_inverse_translation(self):
-        rule = za_arrows_and_tau(1)
+        rule = ZARule(1)
         for p in range(-3, 4):
             assert rule.shift((p, 1)) == rule.tau_inv((p, 1))
 
     def test_double_shift_is_inverse_translation_power(self):
         for k in range(1, 9):
-            rule = za_arrows_and_tau(k)
+            rule = ZARule(k)
             width = 3 * (k + 1)
             for p in range(-width, width):
                 for i in range(1, k + 1):
@@ -102,7 +155,7 @@ class TestShift:
                     assert w == (p + k + 1, i)
 
     def test_shift_commutes_with_translation(self):
-        rule = za_arrows_and_tau(4)
+        rule = ZARule(4)
         for p in range(-6, 7):
             for i in range(1, 5):
                 v = (p, i)
@@ -110,7 +163,7 @@ class TestShift:
 
     def test_shift_preserves_arrows(self):
         for k in (2, 3, 5):
-            rule = za_arrows_and_tau(k)
+            rule = ZARule(k)
             for p in range(-5, 6):
                 for i in range(1, k + 1):
                     v = (p, i)
@@ -118,7 +171,7 @@ class TestShift:
                         assert rule.shift(w) in rule.arrows_from(rule.shift(v))
 
     def test_shift_inverse(self):
-        rule = za_arrows_and_tau(4)
+        rule = ZARule(4)
         for p in range(-5, 6):
             for i in range(1, 5):
                 assert rule.shift_inv(rule.shift((p, i))) == (p, i)
@@ -233,3 +286,87 @@ class TestClassification:
     def test_size_cap(self):
         with pytest.raises(SizeCapError):
             classify_components(4, 3, cap=20)
+
+
+class TestNormalFormMatcher:
+    def assert_agrees_with_search(self, comp, n, m):
+        got = _match_component(comp, n, m, None)
+        expected = searched_matches(comp, n, m)
+        assert got.all_matches == expected
+        assert got.match == (expected[0] if expected else None)
+
+    def test_orbit_quotient_grid_agrees_with_search(self):
+        for k in range(1, 5):
+            for s in range(0, 4):
+                for r in range(0, 4):
+                    if (s, r) == (0, 0):
+                        continue
+                    comp = orbit_quiver(k, s, r).quotient
+                    for n, m in ((2, 1), (2, 2), (2, 3)):
+                        self.assert_agrees_with_search(comp, n, m)
+
+    def test_classify_components_agree_with_search(self):
+        for n, m in ((2, 3), (3, 2), (2, 4), (3, 3), (2, 5)):
+            report = classify_components(n, m)
+            comps = non_principal_components(n, m)
+            assert [c.size for c in report.others] == [len(c.vertices) for c in comps]
+            for got, comp in zip(report.others, comps):
+                expected = searched_matches(comp, n, m)
+                assert got.all_matches == expected, (n, m)
+                assert got.match == expected[0], (n, m)
+
+    def test_one_quotient_and_one_iso_per_component(self, monkeypatch):
+        calls = {"orbit": 0, "iso": 0}
+
+        def counting(key, fn):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(
+            quiverkit.orbit, "orbit_quiver", counting("orbit", orbit_quiver)
+        )
+        monkeypatch.setattr(
+            quiverkit.orbit,
+            "iso_translation_quivers",
+            counting("iso", iso_translation_quivers),
+        )
+        report = classify_components(2, 6)
+        assert len(report.others) == 6
+        assert calls == {"orbit": 6, "iso": 7}  # one more for the principal
+
+    def test_duplicate_matches_of_one_automorphism(self):
+        # tau^-9 ∘ [4] and tau^-13 ∘ [2] are both tau^-17 on three rows.
+        report = classify_components(3, 5)
+        assert len(report.others) == 2
+        for comp in report.others:
+            assert comp.all_matches == ((3, 9, 4), (3, 13, 2))
+
+    def test_unmatched_component(self):
+        # ZD_6 / tau^-4 has the strip invariants of ZA_4 / tau^-6 (24
+        # vertices, 12 of in-degree 1) but a vertex of in-degree 3, so the
+        # one iso test fails.
+        comp = zd_quotient(6, 4)
+        assert validate_translation_quiver(comp).stable
+        assert _normal_forms(comp) == [(4, 6, 0)]
+        self.assert_agrees_with_search(comp, 3, 2)
+        assert _match_component(comp, 3, 2, None).match is None
+
+
+class TestOddMLaw:
+    def test_components_are_za_n_mod_tau_nm_plus_2(self):
+        # Observed for every odd m >= 3 with n*m + 2 <= 26: (m-1)/2
+        # non-principal components, each ZA_n / tau^-(n*m+2).  The odd-m
+        # formula in the report predicts other (s, r); see
+        # classify_components.
+        pairs = [
+            (n, m) for m in range(3, 25, 2) for n in range(2, 25) if n * m + 2 <= 26
+        ]
+        assert len(pairs) == 14
+        for n, m in pairs:
+            report = classify_components(n, m)
+            assert len(report.others) == (m - 1) // 2, (n, m)
+            for comp in report.others:
+                assert normal_form(*comp.match) == (n, n * m + 2, 0), (n, m)

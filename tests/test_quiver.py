@@ -17,7 +17,6 @@ from quiverkit import (
     restrict_translation_quiver,
     to_dot,
     to_json,
-    translation_components,
     validate_translation_quiver,
 )
 
@@ -141,11 +140,11 @@ class TestComponents:
         square = gamma(2, 1)
         assert len(square.arrows) == 0
         assert [len(c) for c in connected_components(square.quiver)] == [1, 1]
-        assert [len(c) for c in translation_components(square)] == [2]
+        assert [len(c) for c in connected_components(square)] == [2]
 
     def test_restriction_of_component_passes_validation(self):
         sq = power(gamma(6, 1), 2).result
-        for comp in translation_components(sq):
+        for comp in connected_components(sq):
             sub, dropped = restrict_translation_quiver(sq, comp)
             assert dropped == ()
             assert validate_translation_quiver(sub).ok
