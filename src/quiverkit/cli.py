@@ -2,7 +2,8 @@
 
 Subcommands: gamma, power, classify, mutate, angulations, orbit, verify.
 Identical inputs produce byte-identical output.  Exit codes: 0 success,
-2 usage error, 3 size cap exceeded, 4 verification failure.
+2 usage error (including an ``--out`` path that cannot be written), 3 size
+cap exceeded, 4 verification failure.
 """
 
 from __future__ import annotations
@@ -251,7 +252,7 @@ def main(argv: list[str] | None = None) -> int:
     except SizeCapError as exc:
         sys.stderr.write(f"size cap: {exc}\n")
         return 3
-    except (ValueError, IndexError, ZeroDivisionError) as exc:
+    except (ValueError, IndexError, ZeroDivisionError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

@@ -2,11 +2,17 @@
 
 An isomorphism is a vertex bijection preserving arrow multiplicities in
 both directions and commuting with the translation maps (including
-where they are defined).  The instances handled here are small (a few
-hundred vertices), so a color-refinement pass followed by anchored
-backtracking is fast and needs no canonical-form machinery.  Candidate
-lists are ordered by :func:`~quiverkit.quiver.vertex_key`, which makes
-the returned bijection deterministic.
+where they are defined).  The search is individualization-refinement
+(McKay & Piperno, *Practical graph isomorphism II*, 2014), with joint
+color refinement of both quivers as its only propagation step: refine;
+drop the coloring if the two sides' class sizes differ; if it is
+discrete, return the bijection it reads as when :func:`check_iso`
+accepts it; else give the least ``a``-vertex of the smallest
+non-singleton class and, in turn, each ``b``-vertex of that class a
+fresh color.  Branches live on an explicit stack, not the call stack.
+Vertices are ordered by :func:`~quiverkit.quiver.vertex_key`, so the
+bijection is deterministic, and whether one is found does not depend
+on the argument order.
 """
 
 from __future__ import annotations
@@ -15,63 +21,58 @@ from collections import Counter
 
 from .config import default_vertex_cap
 from .errors import SizeCapError
-from .quiver import TranslationQuiver, Vertex, vertex_key
-
-_NO_COLOR = -1
+from .quiver import TranslationQuiver
 
 
-def _refine(a: TranslationQuiver, b: TranslationQuiver) -> tuple[dict, dict]:
-    """Joint color refinement of both quivers.
+def _adjacency(tq: TranslationQuiver, offset: int) -> tuple[list, list]:
+    """The vertices of ``tq`` in vertex_key order and one row per vertex.
 
-    Colors start from local degree/translation data and are refined by
-    neighbor-color multisets until stable.  Vertices that can correspond
-    under an isomorphism always share a color.
+    Vertex i has joint index ``offset + i``.  Its row holds its arrows as
+    (neighbor, multiplicity) pairs, positive out and negative in, its tau
+    image (a list of zero or one index) and its tau preimages.
     """
-    tagged = [(0, a), (1, b)]
-    color: dict[tuple[int, Vertex], int] = {}
+    order = tq.sorted_vertices()
+    idx = {v: offset + i for i, v in enumerate(order)}
+    pre: dict = {v: [] for v in order}
+    for y, ty in tq.tau.items():
+        pre[ty].append(idx[y])
+    q = tq.quiver
+    rows = [
+        (
+            [(idx[w], c) for w, c in q.out(v)] + [(idx[w], -c) for w, c in q.into(v)],
+            [idx[tq.tau[v]]] if v in tq.tau else [],
+            pre[v],
+        )
+        for v in order
+    ]
+    return order, rows
 
-    sig = {}
-    for tag, tq in tagged:
-        for v in tq.sorted_vertices():
-            sig[(tag, v)] = (
-                tq.quiver.out_degree(v),
-                tq.quiver.in_degree(v),
-                tq.tau_of(v) is not None,
-                tq.tau_inv_of(v) is not None,
-            )
-    palette = {s: i for i, s in enumerate(sorted(set(sig.values())))}
-    color = {k: palette[s] for k, s in sig.items()}
 
-    ncolors = len(palette)
+def _refine(rows: list, color: list[int]) -> list[int]:
+    """Joint color refinement of the rows of both quivers, from ``color``.
+
+    Each round colors a vertex by its color and the colors of its arrow
+    neighbors (with direction and multiplicity), its tau image and its
+    tau preimages, until no class splits.  Colors are numbered by sorted
+    signature, so vertices that can correspond under an isomorphism
+    respecting the starting colors always share a color.
+    """
+    ncolors = len(set(color))
     while True:
-        sig = {}
-        for tag, tq in tagged:
-            for v in tq.sorted_vertices():
-                key = (tag, v)
-                out_sig = tuple(
-                    sorted((color[(tag, w)], c) for w, c in tq.quiver.out(v))
-                )
-                in_sig = tuple(
-                    sorted((color[(tag, w)], c) for w, c in tq.quiver.into(v))
-                )
-                ty = tq.tau_of(v)
-                pre = tq.tau_inv_of(v)
-                sig[key] = (
-                    color[key],
-                    out_sig,
-                    in_sig,
-                    color[(tag, ty)] if ty is not None else _NO_COLOR,
-                    color[(tag, pre)] if pre is not None else _NO_COLOR,
-                )
-        palette = {s: i for i, s in enumerate(sorted(set(sig.values())))}
-        color = {k: palette[s] for k, s in sig.items()}
+        sig = [
+            (
+                color[v],
+                tuple(sorted((c, color[w]) for w, c in arrows)),
+                tuple(color[t] for t in image),
+                tuple(sorted(color[y] for y in pre)),
+            )
+            for v, (arrows, image, pre) in enumerate(rows)
+        ]
+        palette = {s: i for i, s in enumerate(sorted(set(sig)))}
+        color = [palette[s] for s in sig]
         if len(palette) == ncolors:
-            break
+            return color
         ncolors = len(palette)
-
-    color_a = {v: color[(0, v)] for v in a.vertices}
-    color_b = {v: color[(1, v)] for v in b.vertices}
-    return color_a, color_b
 
 
 def check_iso(a: TranslationQuiver, b: TranslationQuiver, phi: dict) -> bool:
@@ -113,75 +114,33 @@ def iso_translation_quivers(
     if len(a.arrows) != len(b.arrows) or len(a.tau) != len(b.tau):
         return None
 
-    color_a, color_b = _refine(a, b)
-    if Counter(color_a.values()) != Counter(color_b.values()):
-        return None
-
-    by_color_b: dict[int, list[Vertex]] = {}
-    for v in sorted(b.vertices, key=vertex_key):
-        by_color_b.setdefault(color_b[v], []).append(v)
-
-    order = sorted(a.vertices, key=vertex_key)
-    qa, qb = a.quiver, b.quiver
-    mapping: dict[Vertex, Vertex] = {}
-    used: set[Vertex] = set()
-
-    def pick_next() -> Vertex:
-        # Prefer vertices constrained by already-mapped neighborhood.
-        best = None
-        best_rank = None
-        for x in order:
-            if x in mapping:
-                continue
-            anchored = any(
-                w in mapping for w, _ in qa.out(x)
-            ) or any(w in mapping for w, _ in qa.into(x))
-            ta = a.tau_of(x)
-            pre = a.tau_inv_of(x)
-            anchored = anchored or (ta in mapping) or (pre in mapping)
-            rank = (
-                0 if anchored else 1,
-                len(by_color_b.get(color_a[x], ())),
-                vertex_key(x),
-            )
-            if best_rank is None or rank < best_rank:
-                best, best_rank = x, rank
-        return best
-
-    def feasible(x: Vertex, y: Vertex) -> bool:
-        ta, tb = a.tau_of(x), b.tau_of(y)
-        if (ta is None) != (tb is None):
-            return False
-        if ta is not None and ta in mapping and mapping[ta] != tb:
-            return False
-        pa, pb = a.tau_inv_of(x), b.tau_inv_of(y)
-        if (pa is None) != (pb is None):
-            return False
-        if pa is not None and pa in mapping and mapping[pa] != pb:
-            return False
-        for u, v in mapping.items():
-            if qa.arrow_count(x, u) != qb.arrow_count(y, v):
-                return False
-            if qa.arrow_count(u, x) != qb.arrow_count(v, y):
-                return False
-        return True
-
-    def extend() -> bool:
-        if len(mapping) == len(order):
-            return True
-        x = pick_next()
-        for y in by_color_b.get(color_a[x], ()):
-            if y in used or not feasible(x, y):
-                continue
-            mapping[x] = y
-            used.add(y)
-            if extend():
-                return True
-            del mapping[x]
-            used.discard(y)
-        return False
-
-    if extend():
-        assert check_iso(a, b, mapping)
-        return dict(mapping)
+    n = len(a.vertices)
+    order_a, rows_a = _adjacency(a, 0)
+    order_b, rows_b = _adjacency(b, n)
+    rows = rows_a + rows_b
+    # Each frame: a refined coloring, the a-vertex individualized below
+    # it and its untried b-candidates, last in vertex_key order first.
+    frames: list[tuple[list[int], int, list[int]]] = []
+    color: list[int] | None = [0] * (2 * n)
+    while color is not None:
+        color = _refine(rows, color)
+        sizes = Counter(color[:n])
+        if sizes == Counter(color[n:]):
+            if len(sizes) == n:
+                at = dict(zip(color[n:], order_b))
+                phi = {x: at[c] for x, c in zip(order_a, color)}
+                if check_iso(a, b, phi):
+                    return phi
+            else:
+                target = min((size, c) for c, size in sizes.items() if size > 1)[1]
+                ys = [y for y in range(2 * n - 1, n - 1, -1) if color[y] == target]
+                frames.append((color, color.index(target), ys))
+        color = None
+        while frames and color is None:
+            parent, x, ys = frames[-1]
+            if ys:
+                color = parent.copy()
+                color[x] = color[ys.pop()] = max(parent) + 1
+            else:
+                frames.pop()
     return None

@@ -306,11 +306,13 @@ def mutate_matrix(M: ExchangeMatrix, k: int) -> ExchangeMatrix:
 
     Entries in row/column k flip sign; any other entry picks up
     (|M[i,k]| * M[k,j] + M[i,k] * |M[k,j]|) / 2, which is an exact
-    integer (each summand pair is equal or cancels).
+    integer (each summand pair is equal or cancels).  The arithmetic runs
+    on Python integers, so it cannot wrap; a result entry outside int64
+    raises ``ValueError``.
     """
     if not 1 <= k <= M.n:
         raise IndexError(f"direction {k} out of range 1..{M.n}")
-    a = M.array
+    a = M.array.astype(object)
     i = k - 1
     col = a[:, i]
     row = a[i, :]
@@ -319,7 +321,7 @@ def mutate_matrix(M: ExchangeMatrix, k: int) -> ExchangeMatrix:
     b = a + bump // 2
     b[i, :] = -a[i, :]
     b[:, i] = -a[:, i]
-    return ExchangeMatrix(b)
+    return ExchangeMatrix(b.tolist())
 
 
 @dataclass(frozen=True)

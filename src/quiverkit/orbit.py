@@ -295,9 +295,6 @@ def _match_component(
         for q in range((m - rho) // 2 + 1)
         if 2 * q + rho >= 1 and S - (k + 1) * q >= 0
     )
-    # The quotient goes first: the search extends its mapping in the
-    # order of the first quiver's labels, and strip labels (p, i) follow
-    # the arrows, while diagonal labels jump around the component.
     if triples and iso_translation_quivers(
         orbit_quiver(*triples[0]).quotient, comp, cap=cap
     ) is None:

@@ -1,8 +1,12 @@
 """Command-line interface: formats, determinism and exit codes."""
 
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quiverkit.cli import main
 
@@ -200,3 +204,53 @@ class TestOutputFile:
         assert out == ""
         payload = json.loads(target.read_text())
         assert len(payload["vertices"]) == 9
+
+    @pytest.mark.parametrize("where", ["missing-dir", "directory"])
+    def test_unwritable_out_path_is_a_usage_error(self, tmp_path, capsys, where):
+        target = tmp_path / "missing" / "x.json" if where == "missing-dir" else tmp_path
+        code, out, err = run(
+            capsys, "gamma", "--n", "4", "--out", str(target)
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+
+
+def _flags(**bounds):
+    """argv tokens ``--name value``, each value in -1..bound."""
+    names = list(bounds)
+    return st.tuples(*(st.integers(-1, hi) for hi in bounds.values())).map(
+        lambda vals: [tok for name, v in zip(names, vals) for tok in (f"--{name}", str(v))]
+    )
+
+
+_matrices = st.integers(1, 3).flatmap(
+    lambda k: st.lists(
+        st.lists(st.integers(-2, 2), min_size=k, max_size=k), min_size=k, max_size=k
+    )
+)
+
+_argv = st.one_of(
+    st.tuples(st.sampled_from(["gamma", "power", "classify", "angulations"]), _flags(n=8, m=3))
+    .map(lambda t: [t[0], *t[1]]),
+    _flags(n=8, m=3).map(lambda f: ["power", *f, "--components"]),
+    _flags(k=8, s=3, r=3).map(lambda f: ["orbit", *f]),
+    st.tuples(_matrices, st.lists(st.integers(0, 4), max_size=3)).map(
+        lambda t: ["mutate", "--matrix", json.dumps(t[0]), "--steps", ",".join(map(str, t[1]))]
+    ),
+    _matrices.map(lambda rows: ["mutate", "--matrix", json.dumps(rows), "--enumerate", "--cap", "5"]),
+    st.sampled_from(["hexagon", "nothing-here"]).map(lambda f: ["verify", "--only", f]),
+)
+
+
+class TestArgvFuzz:
+    @given(argv=_argv, out=st.sampled_from([None, "file", "missing-dir", "directory"]))
+    @settings(max_examples=120, deadline=None)
+    def test_only_documented_exit_codes(self, tmp_path_factory, argv, out):
+        base = tmp_path_factory.getbasetemp()
+        targets = {"file": base / "out.txt", "missing-dir": base / "missing" / "x", "directory": base}
+        if out is not None:
+            argv = argv + ["--out", str(targets[out])]
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+        assert code in (0, 2, 3, 4), argv

@@ -128,6 +128,17 @@ class TestMatrixMutation:
         assert out[1, 2] == -1 and out[2, 1] == -2
         assert mutate_matrix(out, 1) == M
 
+    def test_int64_overflow_is_an_error(self):
+        # Entry (1,3) of the mutation at 2 is 2**80, which int64 would wrap to 0.
+        big = 2**40
+        M = ExchangeMatrix([[0, big, 0], [-big, 0, big], [0, -big, 0]])
+        with pytest.raises(ValueError, match="within int64"):
+            mutate_matrix(M, 2)
+        # Negating -2**63 leaves int64 too.
+        with pytest.raises(ValueError, match="within int64"):
+            mutate_matrix(ExchangeMatrix([[0, -(2**63)], [1, 0]]), 1)
+        assert mutate_matrix(ExchangeMatrix([[0, 2**62], [-1, 0]]), 1)[0, 1] == -(2**62)
+
     def test_validate(self):
         with pytest.raises(ValueError):
             ExchangeMatrix([[0, 1], [1, 0]]).validate()

@@ -1,17 +1,26 @@
 """Core quiver/translation-quiver structures, validation and isomorphism."""
 
+import json
+import sys
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from networkx import MultiDiGraph
+from networkx.algorithms.isomorphism import MultiDiGraphMatcher
 
 from quiverkit import (
     Quiver,
     SizeCapError,
     TranslationQuiver,
     check_iso,
+    classify_components,
     connected_components,
+    decompose,
     gamma,
     iso_translation_quivers,
+    orbit_quiver,
     power,
     quiver_json_dict,
     restrict_translation_quiver,
@@ -19,6 +28,7 @@ from quiverkit import (
     to_json,
     validate_translation_quiver,
 )
+from quiverkit.cli import main
 
 
 def brute_mesh_violations(tq):
@@ -221,6 +231,134 @@ class TestIsomorphism:
         a = gamma(5, 1)
         b = gamma(5, 1)
         assert iso_translation_quivers(a, b) == iso_translation_quivers(a, b)
+
+    def test_tau_fixed_points_are_respected(self):
+        # Both are directed 6-cycles; tau is the identity on one and a
+        # two-step rotation on the other, so no bijection commutes with tau.
+        fixed, rotated = directed_cycle(6, 0), directed_cycle(6, 2)
+        assert iso_translation_quivers(fixed, rotated) is None
+        assert iso_translation_quivers(rotated, fixed) is None
+
+    def test_search_depth_is_not_bounded_by_the_recursion_limit(self, tmp_path):
+        # gamma(45, 1) has 1034 vertices, more than the default recursion
+        # limit allows frames.
+        assert sys.getrecursionlimit() < 1034
+        out = tmp_path / "classify.json"
+        argv = ["classify", "--n", "45", "--m", "1", "--report", "json", "--out", str(out)]
+        assert main(argv) == 0
+        assert json.loads(out.read_text())["principal"] == {"size": 1034, "iso_gamma": True}
+
+    def test_argument_order_does_not_matter(self):
+        match = classify_components(3, 7).others[0]
+        comp = next(
+            c for c in decompose(power(gamma(21, 1), 7))
+            if c.vertices == set(match.vertices)
+        )
+        quotient = orbit_quiver(*match.match).quotient
+        phi = iso_translation_quivers(quotient, comp)
+        psi = iso_translation_quivers(comp, quotient)
+        assert phi is not None and check_iso(quotient, comp, phi)
+        assert psi is not None and check_iso(comp, quotient, psi)
+
+
+def _relabeled(tq, labels):
+    ren = dict(zip(tq.sorted_vertices(), labels))
+    return TranslationQuiver(
+        Quiver(ren.values(), [(ren[s], ren[t]) for s, t in tq.arrows]),
+        {ren[y]: ren[t] for y, t in tq.tau.items()},
+    )
+
+
+def _disjoint_union(*parts):
+    return TranslationQuiver(
+        Quiver(
+            [(i, v) for i, tq in enumerate(parts) for v in tq.vertices],
+            [((i, s), (i, t)) for i, tq in enumerate(parts) for s, t in tq.arrows],
+        ),
+        {(i, y): (i, t) for i, tq in enumerate(parts) for y, t in tq.tau.items()},
+    )
+
+
+def _oracle_bases():
+    """gamma and strip-quotient instances of at most 30 vertices, and
+    disjoint unions of two of them, by size.  Color refinement cannot
+    tell the parts of a union apart when they look alike locally, so
+    unions make the search backtrack."""
+    bases = [gamma(n, m) for n in range(2, 8) for m in range(1, 4)]
+    bases += [
+        orbit_quiver(k, s, r).quotient
+        for k in range(1, 5)
+        for s in range(5)
+        for r in range(3)
+        if (s, r) != (0, 0)
+    ]
+    bases = [tq for tq in bases if len(tq.vertices) <= 30]
+    bases += [
+        _disjoint_union(p, q)
+        for i, p in enumerate(bases)
+        for q in bases[i:]
+        if len(p.vertices) + len(q.vertices) <= 30
+    ]
+    by_size = {}
+    for tq in bases:
+        by_size.setdefault(len(tq.vertices), []).append(tq)
+    return by_size
+
+
+ORACLE_BASES = _oracle_bases()
+
+
+@st.composite
+def oracle_pairs(draw):
+    """Two relabeled instances of one size; the second may have one
+    arrow end or one tau value moved to another vertex."""
+    size = draw(st.sampled_from(sorted(ORACLE_BASES)))
+    a, b = (draw(st.sampled_from(ORACLE_BASES[size])) for _ in range(2))
+    verts = b.sorted_vertices()
+    arrows, tau = list(b.arrows), dict(b.tau)
+    move = draw(st.sampled_from(["none", "arrow", "tau"]))
+    if move == "arrow" and arrows:
+        i = draw(st.integers(0, len(arrows) - 1))
+        end = draw(st.integers(0, 1))
+        moved = list(arrows[i])
+        moved[end] = draw(st.sampled_from(verts))
+        arrows[i] = tuple(moved)
+    elif move == "tau" and tau:
+        tau[draw(st.sampled_from(list(tau)))] = draw(st.sampled_from(verts))
+    b = TranslationQuiver(Quiver(verts, arrows), tau)
+    labels = [f"x{i}" for i in range(size)]
+    return (
+        _relabeled(a, draw(st.permutations(labels))),
+        _relabeled(b, draw(st.permutations(labels))),
+    )
+
+
+def _networkx_isomorphic(a, b):
+    """Independent oracle: arrows and tau as kind-tagged multigraph edges."""
+
+    def graph(tq):
+        g = MultiDiGraph()
+        g.add_nodes_from(tq.vertices)
+        g.add_edges_from(tq.arrows, kind="arrow")
+        g.add_edges_from(tq.tau.items(), kind="tau")
+        return g
+
+    def same_kinds(edges_a, edges_b):
+        kinds = lambda edges: Counter(d["kind"] for d in edges.values())
+        return kinds(edges_a) == kinds(edges_b)
+
+    return MultiDiGraphMatcher(graph(a), graph(b), edge_match=same_kinds).is_isomorphic()
+
+
+class TestIsomorphismOracle:
+    @given(pair=oracle_pairs())
+    @settings(max_examples=200, deadline=None)
+    def test_agrees_with_networkx(self, pair):
+        a, b = pair
+        phi = iso_translation_quivers(a, b)
+        assert (phi is not None) == _networkx_isomorphic(a, b)
+        assert phi is None or check_iso(a, b, phi)
+        assert (iso_translation_quivers(b, a) is None) == (phi is None)
 
 
 class TestTauOrbits:
