@@ -1,9 +1,9 @@
 """Seeds, matrix mutation, and cluster-variable enumeration.
 
-A seed couples a tuple of reduced rational expressions in u_1..u_n (the
-cluster) with a square integer exchange matrix whose (i, j) and (j, i)
-entries carry opposite signs.  Mutation in direction k replaces the k-th
-cluster entry via the exchange relation
+A seed couples a tuple of rational functions in u_1..u_n (the cluster)
+with a square integer exchange matrix whose (i, j) and (j, i) entries
+carry opposite signs.  Mutation in direction k replaces the k-th cluster
+entry via the exchange relation
 
     x_k * x_k' = prod_{M[i,k] > 0} x_i^M[i,k] + prod_{M[i,k] < 0} x_i^-M[i,k]
 
@@ -16,10 +16,11 @@ not preserved for arbitrary sign-skew-symmetric matrices (only e.g. for
 skew-symmetrizable ones), and the involution property holds regardless.
 Use :meth:`ExchangeMatrix.validate` where the invariant is required.
 
-Rational expressions are kept fully reduced by exact polynomial gcd
-(delegated to sympy); equality, hashing and rendering all use the
-canonical reduced form with a positive denominator leading coefficient
-in graded-lexicographic order.
+Cluster entries are elements of sympy's sparse rational-function field
+ZZ(u_1, ..., u_n) in graded-lexicographic order, one field per n.  The
+field cancels every result to coprime numerator and denominator with a
+positive grlex-leading denominator coefficient, so equality, hashing and
+rendering all see one canonical form.
 """
 
 from __future__ import annotations
@@ -27,9 +28,13 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 import sympy as sp
+from sympy.polys.fields import FracElement, FracField
+from sympy.polys.orderings import grlex
+from sympy.polys.rings import PolyElement
 
 
 def variables(n: int) -> tuple[sp.Symbol, ...]:
@@ -37,21 +42,17 @@ def variables(n: int) -> tuple[sp.Symbol, ...]:
     return tuple(sp.Symbol(f"u_{i}") for i in range(1, n + 1))
 
 
-def _grlex_terms(poly: sp.Poly) -> list[tuple[tuple[int, ...], int]]:
-    """Terms sorted graded-lexicographically, largest first, u_1 heaviest."""
-    terms = [(monom, int(coeff)) for monom, coeff in poly.terms()]
-    terms.sort(key=lambda t: (sum(t[0]), t[0]), reverse=True)
-    return terms
+@lru_cache(maxsize=None)
+def _field(n: int) -> FracField:
+    """The field ZZ(u_1, ..., u_n), grlex-ordered, built once per n."""
+    return FracField(variables(n), sp.ZZ, grlex)
 
 
-def _poly_str(poly: sp.Poly) -> str:
-    terms = _grlex_terms(poly)
-    if not terms:
-        return "0"
+def _poly_str(poly: PolyElement) -> str:
     pieces: list[str] = []
-    for monom, coeff in terms:
+    for monom, coeff in poly.terms():  # grlex order, largest first
         factors = []
-        for g, e in zip(poly.gens, monom):
+        for g, e in zip(poly.ring.symbols, monom):
             if e == 1:
                 factors.append(str(g))
             elif e > 1:
@@ -67,150 +68,111 @@ def _poly_str(poly: sp.Poly) -> str:
             pieces.append(body if coeff > 0 else f"-{body}")
         else:
             pieces.append(f"+ {body}" if coeff > 0 else f"- {body}")
-    return " ".join(pieces)
+    return " ".join(pieces) or "0"
 
 
 class LaurentFraction:
     """A reduced ratio of integer polynomials in u_1..u_n.
 
-    Construct via :meth:`from_expr` or :func:`initial_cluster`; arithmetic
-    works on the polynomial pairs with exact gcd reduction, so equal
-    values always compare (and hash) equal.
+    A thin wrapper around one element of ``_field(n)``; construct via
+    :meth:`from_expr` or :func:`initial_cluster`.  Arithmetic is the
+    field's own, which cancels after every operation, so equal values
+    always compare (and hash) equal.
     """
 
-    __slots__ = ("_num", "_den", "_nvars")
+    __slots__ = ("_f",)
 
-    def __init__(self, num: sp.Poly, den: sp.Poly, nvars: int):
-        self._num = num
-        self._den = den
-        self._nvars = nvars
-
-    @classmethod
-    def _reduced(cls, num: sp.Poly, den: sp.Poly, nvars: int) -> "LaurentFraction":
-        """Canonical form: coprime over ZZ, positive grlex-leading denominator."""
-        if den.is_zero:
-            raise ZeroDivisionError("zero denominator")
-        if num.is_zero:
-            one = sp.Poly(1, num.gens, domain="ZZ")
-            return cls(sp.Poly(0, num.gens, domain="ZZ"), one, nvars)
-        g = num.gcd(den)
-        num = num.exquo(g)
-        den = den.exquo(g)
-        if _grlex_terms(den)[0][1] < 0:
-            num, den = -num, -den
-        return cls(num, den, nvars)
+    def __init__(self, f: FracElement):
+        self._f = f
 
     @classmethod
     def from_expr(cls, expr, nvars: int) -> "LaurentFraction":
-        gens = variables(nvars)
-        num, den = sp.fraction(sp.together(sp.sympify(expr)))
-        num_q = sp.Poly(num, gens, domain="QQ")
-        den_q = sp.Poly(den, gens, domain="QQ")
-        if den_q.is_zero:
-            raise ZeroDivisionError("zero denominator")
-        cn, num_z = num_q.clear_denoms(convert=True)
-        cd, den_z = den_q.clear_denoms(convert=True)
-        # original value = (num_z / cn) / (den_z / cd)
-        return cls._reduced(num_z * int(cd), den_z * int(cn), nvars)
+        return cls(_field(nvars).from_expr(expr))
 
     @property
     def nvars(self) -> int:
-        return self._nvars
+        return self._f.field.ngens
 
     @property
-    def numerator(self) -> sp.Poly:
-        return self._num
+    def numerator(self) -> PolyElement:
+        return self._f.numer
 
     @property
-    def denominator(self) -> sp.Poly:
-        return self._den
+    def denominator(self) -> PolyElement:
+        return self._f.denom
 
     def as_expr(self) -> sp.Expr:
-        return self._num.as_expr() / self._den.as_expr()
+        return self._f.as_expr()
 
-    def _coerce(self, other) -> "LaurentFraction":
+    def _operand(self, other):
         if isinstance(other, LaurentFraction):
-            if other._nvars != self._nvars:
+            if other.nvars != self.nvars:
                 raise ValueError("mixed numbers of variables")
-            return other
+            return other._f
         if isinstance(other, int):
-            return LaurentFraction.from_expr(sp.Integer(other), self._nvars)
+            return other
         return NotImplemented
 
     def __add__(self, other):
-        other = self._coerce(other)
+        other = self._operand(other)
         if other is NotImplemented:
             return NotImplemented
-        return LaurentFraction._reduced(
-            self._num * other._den + other._num * self._den,
-            self._den * other._den,
-            self._nvars,
-        )
+        return LaurentFraction(self._f + other)
 
     __radd__ = __add__
 
     def __mul__(self, other):
-        other = self._coerce(other)
+        other = self._operand(other)
         if other is NotImplemented:
             return NotImplemented
-        return LaurentFraction._reduced(
-            self._num * other._num, self._den * other._den, self._nvars
-        )
+        return LaurentFraction(self._f * other)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = self._coerce(other)
+        other = self._operand(other)
         if other is NotImplemented:
             return NotImplemented
-        if other._num.is_zero:
+        if not other:
             raise ZeroDivisionError("division by the zero fraction")
-        return LaurentFraction._reduced(
-            self._num * other._den, self._den * other._num, self._nvars
-        )
+        return LaurentFraction(self._f / other)
 
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("only non-negative integer powers")
-        return LaurentFraction._reduced(
-            self._num**exponent, self._den**exponent, self._nvars
-        )
+        return LaurentFraction(self._f**exponent)
 
     def is_laurent(self) -> bool:
         """True iff the reduced denominator is plus or minus one monomial."""
-        terms = self._den.terms()
-        return len(terms) == 1 and abs(int(terms[0][1])) == 1
+        den = self._f.denom
+        return len(den) == 1 and abs(den.LC) == 1
 
     def sort_key(self):
         return (
-            tuple(sorted(self._den.terms())),
-            tuple(sorted(self._num.terms())),
+            tuple(sorted(self._f.denom.items())),
+            tuple(sorted(self._f.numer.items())),
         )
 
     def render(self) -> str:
         """Canonical string, e.g. ``(u_1 + u_2 + 1) / u_1*u_2``."""
-        num_terms = _grlex_terms(self._num)
-        num_str = _poly_str(self._num)
-        if self._den == sp.Poly(1, self._num.gens, domain="ZZ"):
+        num, den = self._f.numer, self._f.denom
+        num_str = _poly_str(num)
+        if den == 1:
             return num_str
-        if len(num_terms) > 1:
+        if len(num) > 1:
             num_str = f"({num_str})"
-        den_str = _poly_str(self._den)
-        if len(_grlex_terms(self._den)) > 1:
+        den_str = _poly_str(den)
+        if len(den) > 1:
             den_str = f"({den_str})"
         return f"{num_str} / {den_str}"
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LaurentFraction):
             return NotImplemented
-        return (
-            self._nvars == other._nvars
-            and self._num == other._num
-            and self._den == other._den
-        )
+        return self.nvars == other.nvars and self._f == other._f
 
     def __hash__(self) -> int:
-        return hash((self._nvars, self._num, self._den))
+        return hash(self._f)
 
     def __repr__(self) -> str:
         return f"LaurentFraction({self.render()})"
@@ -218,7 +180,7 @@ class LaurentFraction:
 
 def initial_cluster(n: int) -> tuple[LaurentFraction, ...]:
     """The fractions u_1, ..., u_n."""
-    return tuple(LaurentFraction.from_expr(g, n) for g in variables(n))
+    return tuple(LaurentFraction(g) for g in _field(n).gens)
 
 
 def is_laurent(x: LaurentFraction) -> bool:
@@ -229,7 +191,8 @@ def is_laurent(x: LaurentFraction) -> bool:
 class ExchangeMatrix:
     """Square integer matrix driving the exchange relation.
 
-    Entries must be integers within int64, else ``ValueError``.
+    The matrix must be square and non-empty with entries integers within
+    int64, else ``ValueError``.
     Construction does not require sign-skew-symmetry (mutation can leave
     that class); call :meth:`validate` to enforce it at boundaries.
     """
@@ -239,12 +202,13 @@ class ExchangeMatrix:
     def __init__(self, rows):
         # Floats, ints beyond int64 and non-numbers infer a float, object
         # or string dtype; casting those to int64 would truncate or raise.
+        # An empty array has no entries but a float dtype, so it skips this.
         a = np.array(rows)
-        if a.dtype.kind != "i":
+        if a.size and a.dtype.kind != "i":
             raise ValueError("exchange matrix entries must be integers within int64")
+        if a.ndim != 2 or a.shape[0] != a.shape[1] or not a.size:
+            raise ValueError("exchange matrix must be square and non-empty")
         a = a.astype(np.int64, copy=False)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError("exchange matrix must be square")
         a.setflags(write=False)
         self._m = a
 
@@ -350,7 +314,7 @@ def mutate_seed(seed: Seed, k: int) -> Seed:
     if xk.numerator.is_zero:
         raise ZeroDivisionError("cannot mutate a seed whose active entry is zero")
 
-    one = LaurentFraction.from_expr(1, n)
+    one = LaurentFraction(_field(n).one)
     pos = one
     neg = one
     for i in range(n):
@@ -442,8 +406,8 @@ def counting_check(n: int) -> bool:
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got n={n}")
-    if n > 5:
-        raise ValueError("counting check is a desk-scale operation (n <= 5)")
+    if n > 6:
+        raise ValueError("counting check is a desk-scale operation (n <= 6)")
     from .polygon import gamma as _gamma
 
     closure = enumerate_cluster_variables(a_path_matrix(n))

@@ -140,6 +140,13 @@ class TestMutate:
         assert out == ""
         assert "integers within int64" in err
 
+    @pytest.mark.parametrize("matrix", ["[]", "[[]]"])
+    def test_empty_matrix_is_not_square(self, capsys, matrix):
+        code, out, err = run(capsys, "mutate", "--matrix", matrix)
+        assert code == 2
+        assert out == ""
+        assert "must be square" in err
+
 
 class TestAngulations:
     def test_hexagon_count(self, capsys):

@@ -1,6 +1,7 @@
 """Exchange matrices, seeds, fraction arithmetic and closures."""
 
 from fractions import Fraction
+from math import comb
 
 import numpy as np
 import pytest
@@ -87,6 +88,27 @@ def skew_symmetric_matrices(draw, max_n=5):
     return ExchangeMatrix(m)
 
 
+@st.composite
+def skew_symmetrizable_matrices(draw, max_n=4):
+    """B[i][j] = S[i][j] * d[j], S skew-symmetric in {-1, 0, 1}, d_i in {1, 2}."""
+    n = draw(st.integers(1, max_n))
+    d = draw(st.lists(st.integers(1, 2), min_size=n, max_size=n))
+    m = np.zeros((n, n), dtype=np.int64)
+    for i in range(n):
+        for j in range(i + 1, n):
+            s = draw(st.integers(-1, 1))
+            m[i, j], m[j, i] = s * d[j], -s * d[i]
+    return ExchangeMatrix(m)
+
+
+def exchange(n, *edges):
+    """Exchange matrix with B[i][j] = a, B[j][i] = -b for each 1-based (i, j, a, b)."""
+    m = [[0] * n for _ in range(n)]
+    for i, j, a, b in edges:
+        m[i - 1][j - 1], m[j - 1][i - 1] = a, -b
+    return ExchangeMatrix(m)
+
+
 class TestMatrixMutation:
     def test_rank_two_example(self):
         M = ExchangeMatrix([[0, 1], [-1, 0]])
@@ -144,6 +166,8 @@ class TestMatrixMutation:
             ExchangeMatrix([[0, 1], [1, 0]]).validate()
         with pytest.raises(ValueError):
             ExchangeMatrix([[0, 1, 0], [-1, 0, 0]])
+        with pytest.raises(ValueError, match="must be square"):
+            ExchangeMatrix(np.zeros((0, 0), dtype=np.int64))
         assert a_path_matrix(4).validate() is not None
 
 
@@ -165,6 +189,11 @@ class TestLaurentFraction:
         assert not is_laurent(lf("u_1/(1+u_2)"))
         assert is_laurent(lf("u_1"))
         assert not is_laurent(lf("u_1/(2*u_2)"))
+
+    def test_zero_renders_as_zero(self):
+        x = lf("u_1")
+        assert lf("0").render() == "0"
+        assert (x + (-1) * x).render() == "0"
 
     def test_zero_denominator(self):
         with pytest.raises(ZeroDivisionError):
@@ -277,9 +306,65 @@ class TestClosure:
             enumerate_cluster_variables(ExchangeMatrix([[0, 2], [2, 0]]))
 
 
+class TestFiniteTypeCounts:
+    """Variable and cluster counts of Fomin-Zelevinsky, Cluster algebras II."""
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_type_a(self, n):
+        catalan = comb(2 * n + 2, n + 1) // (n + 2)
+        self.check(a_path_matrix(n), n * (n + 3) // 2, catalan)
+
+    @pytest.mark.parametrize(
+        "M, n_vars, n_clusters",
+        [
+            pytest.param(exchange(3, (1, 2, 1, 2), (2, 3, 1, 1)), 12, 20, id="B_3"),
+            pytest.param(
+                exchange(4, (1, 2, 1, 2), (2, 3, 1, 1), (3, 4, 1, 1)), 20, 70, id="B_4"
+            ),
+            pytest.param(exchange(3, (1, 2, 2, 1), (2, 3, 1, 1)), 12, 20, id="C_3"),
+            pytest.param(
+                exchange(4, (1, 2, 1, 1), (2, 3, 1, 1), (2, 4, 1, 1)), 16, 50, id="D_4"
+            ),
+            pytest.param(
+                exchange(5, (1, 2, 1, 1), (2, 3, 1, 1), (3, 4, 1, 1), (3, 5, 1, 1)),
+                25,
+                182,
+                id="D_5",
+            ),
+            pytest.param(
+                exchange(4, (1, 2, 1, 1), (2, 3, 1, 2), (3, 4, 1, 1)), 28, 105, id="F_4"
+            ),
+            pytest.param(exchange(2, (1, 2, 1, 3)), 8, 8, id="G_2"),
+        ],
+    )
+    def test_other_types(self, M, n_vars, n_clusters):
+        self.check(M, n_vars, n_clusters)
+
+    @staticmethod
+    def check(M, n_vars, n_clusters):
+        res = enumerate_cluster_variables(M)
+        assert not res.cap_reached
+        assert len(res.variables) == n_vars
+        assert res.seed_count == n_clusters
+        assert all(x.is_laurent() for x in res.variables)
+
+
+class TestLaurentPhenomenon:
+    @given(M=skew_symmetrizable_matrices(), data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_short_walks_stay_laurent(self, M, data):
+        # Longer walks can blow up: a 4th step on [[0,2,2],[-2,0,2],[-2,-2,0]]
+        # has a numerator of 4505 terms.
+        walk = data.draw(st.lists(st.integers(1, M.n), max_size=3))
+        seed = initial_seed(M)
+        for k in walk:
+            seed = mutate_seed(seed, k)
+            assert all(x.is_laurent() for x in seed.cluster)
+
+
 class TestCounting:
     def test_counts_match_polygon_diagonals(self):
-        for n in (1, 2, 3):
+        for n in (1, 2, 3, 6):
             assert counting_check(n)
 
     def test_explicit_counts(self):
@@ -290,4 +375,4 @@ class TestCounting:
         with pytest.raises(ValueError):
             counting_check(0)
         with pytest.raises(ValueError):
-            counting_check(6)
+            counting_check(7)
