@@ -23,13 +23,11 @@ from .mutation import (
     enumerate_cluster_variables,
     initial_cluster,
     initial_seed,
-    is_laurent,
     mutate_matrix,
     mutate_seed,
     variables,
 )
 from .orbit import (
-    AutoEq,
     ComponentMatch,
     ComponentReport,
     OrbitQuiver,
@@ -76,7 +74,6 @@ from .verify import CheckResult, check_names, run_checks
 __version__ = "0.1.0"
 
 __all__ = [
-    "AutoEq",
     "CheckResult",
     "ClosureResult",
     "ComponentMatch",
@@ -112,7 +109,6 @@ __all__ = [
     "initial_cluster",
     "initial_seed",
     "is_diagonal",
-    "is_laurent",
     "is_m_diagonal",
     "is_sectional",
     "iso_translation_quivers",

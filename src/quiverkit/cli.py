@@ -13,7 +13,7 @@ import json
 import sys
 
 from .errors import SizeCapError
-from .export import components_dot, components_json_dict, quiver_json_dict, to_dot
+from .export import components_dot, components_json_dict, to_dot, to_json
 from .mutation import (
     ExchangeMatrix,
     enumerate_cluster_variables,
@@ -40,18 +40,12 @@ def _dump(payload: dict) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
-def _quiver_payload(tq, **head) -> dict:
-    payload = {"schema": SCHEMA, **head}
-    payload.update(quiver_json_dict(tq))
-    return payload
-
-
 def _cmd_gamma(args) -> int:
     tq = gamma(args.n, args.m)
     if args.emit == "dot":
         _emit(to_dot(tq, name=f"gamma_{args.n}_{args.m}"), args.out)
     else:
-        _emit(_dump(_quiver_payload(tq, n=args.n, m=args.m)), args.out)
+        _emit(to_json(tq, schema=SCHEMA, n=args.n, m=args.m), args.out)
     return 0
 
 
@@ -68,7 +62,7 @@ def _cmd_power(args) -> int:
         if args.emit == "dot":
             _emit(to_dot(pq.result, name=f"power_{args.n}_{args.m}"), args.out)
         else:
-            _emit(_dump(_quiver_payload(pq.result, n=args.n, m=args.m)), args.out)
+            _emit(to_json(pq.result, schema=SCHEMA, n=args.n, m=args.m), args.out)
     return 0
 
 
@@ -156,15 +150,12 @@ def _cmd_orbit(args) -> int:
     if args.emit == "dot":
         _emit(to_dot(oq.quotient, name=f"orbit_{args.k}_{args.s}_{args.r}"), args.out)
     else:
-        _emit(
-            _dump(_quiver_payload(oq.quotient, k=args.k, s=args.s, r=args.r)),
-            args.out,
-        )
+        _emit(to_json(oq.quotient, schema=SCHEMA, k=args.k, s=args.s, r=args.r), args.out)
     return 0
 
 
 def _cmd_verify(args) -> int:
-    results = run_checks(only=args.only, seed=args.seed, threads=args.threads)
+    results = run_checks(only=args.only, seed=args.seed)
     if not results:
         sys.stderr.write(f"no check matches --only {args.only!r}\n")
         return 2
@@ -237,7 +228,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the named acceptance checks")
     p.add_argument("--only", default=None, help="substring filter on check names")
     p.add_argument("--seed", type=int, default=2024)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=_cmd_verify)
 

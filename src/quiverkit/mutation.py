@@ -25,7 +25,6 @@ rendering all see one canonical form.
 
 from __future__ import annotations
 
-import itertools
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
@@ -183,11 +182,6 @@ def initial_cluster(n: int) -> tuple[LaurentFraction, ...]:
     return tuple(LaurentFraction(g) for g in _field(n).gens)
 
 
-def is_laurent(x: LaurentFraction) -> bool:
-    """Whether the reduced denominator is a (signed) monomial."""
-    return x.is_laurent()
-
-
 class ExchangeMatrix:
     """Square integer matrix driving the exchange relation.
 
@@ -331,28 +325,19 @@ def mutate_seed(seed: Seed, k: int) -> Seed:
 
 
 def _canonical_seed_key(seed: Seed) -> tuple:
-    """Key identifying seeds up to simultaneous cluster/matrix permutation."""
+    """Key identifying seeds up to simultaneous cluster/matrix permutation.
+
+    Sorting the cluster fixes the permutation: its entries are pairwise
+    distinct.  Every seed the closure sees comes from the initial one by
+    mutations, and since x_k = (P + Q) / x_k' each cluster stays a free
+    generating set of ZZ(u_1, ..., u_n), so no two entries are equal.
+    """
     keys = [f.sort_key() for f in seed.cluster]
     order = sorted(range(len(keys)), key=lambda i: keys[i])
-    sorted_keys = tuple(keys[i] for i in order)
-
-    groups: list[list[int]] = []
-    for pos, i in enumerate(order):
-        if pos > 0 and keys[i] == keys[order[pos - 1]]:
-            groups[-1].append(i)
-        else:
-            groups.append([i])
-    if all(len(g) == 1 for g in groups):
-        matrix_key = seed.matrix.permuted(tuple(order)).key()
-    else:
-        # Duplicate cluster entries: canonicalize ties by brute force.
-        matrix_key = min(
-            seed.matrix.permuted(tuple(itertools.chain.from_iterable(choice))).key()
-            for choice in itertools.product(
-                *[list(itertools.permutations(g)) for g in groups]
-            )
-        )
-    return (sorted_keys, matrix_key)
+    return (
+        tuple(keys[i] for i in order),
+        seed.matrix.permuted(tuple(order)).key(),
+    )
 
 
 @dataclass(frozen=True)

@@ -12,11 +12,16 @@ Quotients of the strip by an automorphism ``g = tau^-s ∘ [r]`` are finite
 stable translation quivers.  Every such ``g`` strictly increases the
 slice index ``p``, so the action is free and each g-orbit contains
 exactly one vertex ``v`` with ``v.p >= 0`` and ``g^-1(v).p < 0``; those
-vertices are the canonical representatives, found by walking ``g``
-itself, with no window heuristics.
+vertices are the canonical representatives.
 
 Because ``[1]∘[1] = tau^-(k+1)``, every ``g`` has the normal form
 ``tau^-S ∘ [rho]`` with ``S = s + (k+1)*(r // 2)`` and ``rho = r % 2``.
+For ``rho = 0`` the representatives are ``0 <= p < S`` in every row and
+``v`` folds to ``(p mod S, i)``.  For ``rho = 1``, ``g(p, i) =
+(p + i + S, k + 1 - i)`` and ``g∘g = tau^-(2S + k + 1)``; row ``i`` has
+the representatives ``0 <= p < S + k + 1 - i``, and ``v`` folds to
+``p' = p mod (2S + k + 1)`` in its own row unless ``p'`` lies past them,
+in which case it is ``g`` of ``(p' - S - (k + 1 - i), k + 1 - i)``.
 The quotient has ``N = k*S`` vertices for ``rho = 0`` and
 ``N = k(k+1)/2 + k*S`` for ``rho = 1``.  For ``k >= 2`` its ``B``
 vertices of in-degree 1 are the orbits of rows 1 and k, ``B = 2S`` or
@@ -43,20 +48,6 @@ ZAVertex = tuple[int, int]
 
 
 @dataclass(frozen=True)
-class AutoEq:
-    """The automorphism tau^-s ∘ [r] of the strip (s, r not both zero)."""
-
-    s: int
-    r: int
-
-    def __post_init__(self):
-        if self.s < 0 or self.r < 0:
-            raise ValueError("s and r must be non-negative")
-        if self.s == 0 and self.r == 0:
-            raise ValueError("(s, r) = (0, 0) is the identity, not admissible")
-
-
-@dataclass(frozen=True)
 class ZARule:
     """Arrow/translation/shift rules of the strip with k rows."""
 
@@ -65,9 +56,6 @@ class ZARule:
     def __post_init__(self):
         if self.k < 1:
             raise ValueError(f"need k >= 1, got k={self.k}")
-
-    def is_vertex(self, v: ZAVertex) -> bool:
-        return 1 <= v[1] <= self.k
 
     def arrows_from(self, v: ZAVertex) -> tuple[ZAVertex, ...]:
         p, i = v
@@ -90,16 +78,9 @@ class ZARule:
     def tau(self, v: ZAVertex) -> ZAVertex:
         return (v[0] - 1, v[1])
 
-    def tau_inv(self, v: ZAVertex) -> ZAVertex:
-        return (v[0] + 1, v[1])
-
     def shift(self, v: ZAVertex) -> ZAVertex:
         p, i = v
         return (p + i, self.k + 1 - i)
-
-    def shift_inv(self, v: ZAVertex) -> ZAVertex:
-        p, i = v
-        return (p - (self.k + 1) + i, self.k + 1 - i)
 
     def window(self, lo: int, hi: int) -> TranslationQuiver:
         """Finite restriction to slices ``lo <= p <= hi``.
@@ -121,7 +102,6 @@ class OrbitQuiver:
     """Finite quotient of the strip by tau^-s ∘ [r]."""
 
     k: int
-    g: AutoEq
     quotient: TranslationQuiver
 
     @property
@@ -129,52 +109,28 @@ class OrbitQuiver:
         return len(self.quotient.vertices)
 
 
-def _action(rule: ZARule, g: AutoEq):
-    def act(v: ZAVertex) -> ZAVertex:
-        for _ in range(g.r):
-            v = rule.shift(v)
-        for _ in range(g.s):
-            v = rule.tau_inv(v)
-        return v
-
-    def act_inv(v: ZAVertex) -> ZAVertex:
-        for _ in range(g.s):
-            v = rule.tau(v)
-        for _ in range(g.r):
-            v = rule.shift_inv(v)
-        return v
-
-    return act, act_inv
-
-
 def orbit_quiver(k: int, s: int, r: int) -> OrbitQuiver:
-    """Quotient of the k-row strip by tau^-s ∘ [r].
+    """Quotient of the k-row strip by tau^-s ∘ [r] (s, r >= 0, not both zero).
 
     Vertices are labeled by canonical orbit representatives ``(p, i)``
-    with ``p >= 0`` minimal along the orbit; arrows and the translation
-    are induced from the strip.
+    with ``p >= 0`` minimal along the orbit, computed in closed form from
+    the normal form ``tau^-S ∘ [rho]`` (see the module docstring); arrows
+    and the translation are induced from the strip.
     """
     rule = ZARule(k)
-    g = AutoEq(s, r)
-    act, act_inv = _action(rule, g)
-
-    reps: list[ZAVertex] = []
-    for i in range(1, k + 1):
-        p = 0
-        while act_inv((p, i))[0] < 0:
-            reps.append((p, i))
-            p += 1
-    rep_set = set(reps)
+    if s < 0 or r < 0:
+        raise ValueError("s and r must be non-negative")
+    if s == 0 and r == 0:
+        raise ValueError("(s, r) = (0, 0) is the identity, not admissible")
+    S, rho = s + (k + 1) * (r // 2), r % 2
+    period = S + rho * (S + k + 1)  # g^(1 + rho) = tau^-period
 
     def normalize(v: ZAVertex) -> ZAVertex:
-        while v[0] < 0:
-            v = act(v)
-        while True:
-            w = act_inv(v)
-            if w[0] < 0:
-                return v
-            v = w
+        p, i = v[0] % period, v[1]
+        q = p - S - rho * (k + 1 - i)  # >= 0 only for rho = 1
+        return (q, k + 1 - i) if q >= 0 else (p, i)
 
+    reps = [(p, i) for i in range(1, k + 1) for p in range(S + rho * (k + 1 - i))]
     arrows = []
     tau = {}
     for c in sorted(reps, key=vertex_key):
@@ -182,8 +138,8 @@ def orbit_quiver(k: int, s: int, r: int) -> OrbitQuiver:
             arrows.append((c, normalize(t)))
         tau[c] = normalize(rule.tau(c))
 
-    quotient = TranslationQuiver(Quiver(rep_set, arrows), tau)
-    return OrbitQuiver(k=k, g=g, quotient=quotient)
+    quotient = TranslationQuiver(Quiver(set(reps), arrows), tau)
+    return OrbitQuiver(k=k, quotient=quotient)
 
 
 @dataclass(frozen=True)

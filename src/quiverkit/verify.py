@@ -1,8 +1,7 @@
 """Named end-to-end checks over the whole package.
 
 Each check re-derives a hand-checkable fixture or sweeps a family of
-instances.  ``run_checks`` executes them (optionally on a thread pool;
-every operation is pure so results are schedule-independent) and the
+instances.  ``run_checks`` executes them in declaration order and the
 command line prints one pass/fail line per check.  Hard checks gate the
 exit code; the classification check reports hypotheses about power
 components and never gates.
@@ -11,7 +10,6 @@ components and never gates.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
@@ -292,22 +290,12 @@ def check_names() -> list[str]:
     return [name for name, _, _ in _CHECKS]
 
 
-def run_checks(
-    only: str | None = None, seed: int = 2024, threads: int = 1
-) -> list[CheckResult]:
-    """Run the named checks (all, or those whose name contains ``only``).
-
-    With ``threads > 1`` checks run on a thread pool; results keep the
-    declaration order either way.
-    """
-    selected = [
-        (name, hard, fn)
-        for name, hard, fn in _CHECKS
-        if only is None or only in name
-    ]
-
-    def run_one(item) -> CheckResult:
-        name, hard, fn = item
+def run_checks(only: str | None = None, seed: int = 2024) -> list[CheckResult]:
+    """Run the named checks (all, or those whose name contains ``only``)."""
+    results = []
+    for name, hard, fn in _CHECKS:
+        if only is not None and only not in name:
+            continue
         t0 = time.perf_counter()
         try:
             if fn is check_mutation_involution:
@@ -316,9 +304,5 @@ def run_checks(
                 ok, detail = fn()
         except Exception as exc:  # a crash is a failure, not an abort
             ok, detail = False, f"raised {type(exc).__name__}: {exc}"
-        return CheckResult(name, ok, hard, detail, time.perf_counter() - t0)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(run_one, selected))
-    return [run_one(item) for item in selected]
+        results.append(CheckResult(name, ok, hard, detail, time.perf_counter() - t0))
+    return results

@@ -1,32 +1,20 @@
-"""Acceptance suite: one check per criterion, each printing a pass/fail line.
+"""Acceptance suite: every named verify check, plus the stated runtime budgets.
 
-Stated runtime budgets are asserted on warm in-process timings.
+The checks come from verify's own table, so a check added there is
+asserted here too.  Budgets are asserted on warm in-process timings.
 """
 
 import time
 
+import pytest
+
 from quiverkit import (
-    classify_components,
+    check_names,
     decompose,
     gamma,
     iso_translation_quivers,
-    orbit_quiver,
     power,
-    principal_component,
-    validate_translation_quiver,
-)
-from quiverkit.verify import (
-    check_angulations,
-    check_counting,
-    check_hexagon_quiver,
-    check_mutation_closure,
-    check_mutation_involution,
-    check_octagon_power_components,
-    check_octagon_vertices,
-    check_orbit_model_pinning,
-    check_power_stability_sweep,
-    check_power_theorem_sweep,
-    check_row_property,
+    run_checks,
 )
 
 
@@ -45,96 +33,40 @@ def timed(fn, repeats=3):
     return best
 
 
+def run_check(name):
+    [result] = run_checks(only=name)
+    return result
+
+
+@pytest.mark.parametrize("name", check_names())
+def test_check(name):
+    # Includes the non-gating classification check: every non-principal
+    # component matches some orbit quotient.
+    result = run_check(name)
+    report(name, result.ok, result.detail)
+
+
 def test_01_hexagon_fixture():
-    ok, detail = check_hexagon_quiver()
     elapsed = timed(lambda: gamma(4, 1))
-    report("hexagon fixture", ok and elapsed < 0.001, f"{detail}; {elapsed * 1e6:.0f}us")
-
-
-def test_02_octagon_vertex_set():
-    ok, detail = check_octagon_vertices()
-    report("octagon vertex set", ok, detail)
+    report("hexagon fixture", elapsed < 0.001, f"{elapsed * 1e6:.0f}us")
 
 
 def test_03_power_decomposition_fixture():
-    ok, detail = check_octagon_power_components()
-
     def work():
         comps = decompose(power(gamma(6, 1), 2))
         big = next(c for c in comps if (1, 4) in c.vertices)
         iso_translation_quivers(big, gamma(3, 2))
 
     elapsed = timed(work)
-    report(
-        "octagon power decomposition",
-        ok and elapsed < 0.050,
-        f"{detail}; {elapsed * 1e3:.1f}ms",
-    )
+    report("octagon power decomposition", elapsed < 0.050, f"{elapsed * 1e3:.1f}ms")
 
 
 def test_04_theorem_sweep():
-    t0 = time.perf_counter()
-    ok, detail = check_power_theorem_sweep()
-    elapsed = time.perf_counter() - t0
-    report("theorem sweep", ok and elapsed < 10.0, f"{detail}; {elapsed:.2f}s")
-
-
-def test_05_stability_sweep():
-    ok, detail = check_power_stability_sweep()
-    report("stability sweep", ok, detail)
-
-
-def test_06_orbit_model_pinning():
-    ok, detail = check_orbit_model_pinning()
-    ok = ok and (
-        iso_translation_quivers(orbit_quiver(3, 1, 1).quotient, gamma(4, 1))
-        is not None
-    )
-    ok = ok and (
-        iso_translation_quivers(orbit_quiver(2, 1, 2).quotient, gamma(3, 2))
-        is not None
-    )
-    report("orbit model pinning", ok, detail)
+    elapsed = run_check("power-theorem-sweep").seconds
+    report("theorem sweep", elapsed < 10.0, f"{elapsed:.2f}s")
 
 
 def test_07_mutation():
-    t0 = time.perf_counter()
-    ok1, d1 = check_mutation_involution(seed=2024)
-    ok2, d2 = check_mutation_closure()
-    ok3, d3 = check_counting()
-    elapsed = time.perf_counter() - t0
-    report(
-        "mutation",
-        ok1 and ok2 and ok3 and elapsed < 5.0,
-        f"{d1}; {d2}; {d3}; {elapsed:.2f}s",
-    )
-
-
-def test_08_angulations():
-    ok, detail = check_angulations()
-    report("angulations", ok, detail)
-
-
-def test_09_row_property():
-    ok, detail = check_row_property()
-    report("row property (odd m)", ok, detail)
-
-
-def test_10_classification_report():
-    # Non-gating hypothesis comparison; the hard part is that every
-    # non-principal component matches some orbit quotient.
-    matched = True
-    notes = []
-    for n, m in ((2, 3), (3, 3), (4, 3), (2, 5)):
-        rep = classify_components(n, m)
-        matched = matched and rep.principal_is_gamma
-        matched = matched and all(c.match is not None for c in rep.others)
-        notes.append(
-            f"(n,m)=({n},{m}): "
-            + ", ".join(
-                "%d->(k=%d,s=%d,r=%d)" % ((c.size,) + c.match)
-                for c in rep.others
-            )
-            + f"; formula agrees: {rep.agrees}"
-        )
-    report("classification report", matched, " | ".join(notes))
+    names = ("mutation-involution", "mutation-closure", "counting")
+    elapsed = sum(run_check(name).seconds for name in names)
+    report("mutation", elapsed < 5.0, f"{elapsed:.2f}s")

@@ -15,6 +15,7 @@ from quiverkit import (
     orbit_quiver,
     power,
     validate_translation_quiver,
+    vertex_key,
 )
 from quiverkit.orbit import _match_component, _normal_forms
 
@@ -30,9 +31,7 @@ def window_orbit_count(k, s, r):
     def act(v):
         for _ in range(r):
             v = rule.shift(v)
-        for _ in range(s):
-            v = rule.tau_inv(v)
-        return v
+        return (v[0] + s, v[1])
 
     step = max(act((0, i))[0] for i in range(1, k + 1))
     core = 2 * step + 2
@@ -60,6 +59,49 @@ def window_orbit_count(k, s, r):
     return sum(
         1 for cls in classes.values() if any(0 <= p <= core for p, _ in cls)
     )
+
+
+def walked_orbit_quiver(k, s, r):
+    """Reference quotient: apply g = tau^-s ∘ [r] one step at a time.
+
+    The representatives are the vertices v with v.p >= 0 and
+    g^-1(v).p < 0, and every strip vertex is folded onto one by walking
+    g, the construction ``orbit_quiver`` replaced by its closed form.
+    """
+    rule = ZARule(k)
+
+    def act(v):
+        for _ in range(r):
+            v = rule.shift(v)
+        return (v[0] + s, v[1])
+
+    def act_inv(v):
+        p, i = v[0] - s, v[1]
+        for _ in range(r):
+            p, i = p - (k + 1) + i, k + 1 - i
+        return (p, i)
+
+    reps = []
+    for i in range(1, k + 1):
+        p = 0
+        while act_inv((p, i))[0] < 0:
+            reps.append((p, i))
+            p += 1
+
+    def normalize(v):
+        while v[0] < 0:
+            v = act(v)
+        while act_inv(v)[0] >= 0:
+            v = act_inv(v)
+        return v
+
+    arrows = []
+    tau = {}
+    for c in sorted(reps, key=vertex_key):
+        for t in rule.arrows_from(c):
+            arrows.append((c, normalize(t)))
+        tau[c] = normalize(rule.tau(c))
+    return TranslationQuiver(Quiver(set(reps), arrows), tau)
 
 
 def searched_matches(comp, n, m):
@@ -120,7 +162,6 @@ class TestStripRule:
     def test_translation(self):
         rule = ZARule(3)
         assert rule.tau((5, 2)) == (4, 2)
-        assert rule.tau_inv(rule.tau((5, 2))) == (5, 2)
 
     def test_window_satisfies_mesh_axiom(self):
         rule = ZARule(3)
@@ -142,7 +183,7 @@ class TestShift:
     def test_single_row_shift_is_inverse_translation(self):
         rule = ZARule(1)
         for p in range(-3, 4):
-            assert rule.shift((p, 1)) == rule.tau_inv((p, 1))
+            assert rule.shift((p, 1)) == (p + 1, 1)
 
     def test_double_shift_is_inverse_translation_power(self):
         for k in range(1, 9):
@@ -169,12 +210,6 @@ class TestShift:
                     v = (p, i)
                     for w in rule.arrows_from(v):
                         assert rule.shift(w) in rule.arrows_from(rule.shift(v))
-
-    def test_shift_inverse(self):
-        rule = ZARule(4)
-        for p in range(-5, 6):
-            for i in range(1, 5):
-                assert rule.shift_inv(rule.shift((p, i))) == (p, i)
 
 
 class TestOrbitQuiver:
@@ -206,6 +241,18 @@ class TestOrbitQuiver:
                     assert orbit_quiver(k, s, r).vertex_count == window_orbit_count(
                         k, s, r
                     ), (k, s, r)
+
+    def test_closed_form_agrees_with_walking_the_action(self):
+        for k in range(1, 7):
+            for s in range(0, 6):
+                for r in range(0, 6):
+                    if (s, r) == (0, 0):
+                        continue
+                    got = orbit_quiver(k, s, r).quotient
+                    expected = walked_orbit_quiver(k, s, r)
+                    assert got.vertices == expected.vertices, (k, s, r)
+                    assert got.arrows == expected.arrows, (k, s, r)
+                    assert dict(got.tau) == dict(expected.tau), (k, s, r)
 
     def test_pinning_against_diagonal_quivers(self):
         for k, m in ((3, 1), (2, 2), (1, 4), (5, 2), (2, 4), (11, 1)):
