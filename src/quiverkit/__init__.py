@@ -6,11 +6,7 @@ with deterministic DOT/JSON output and a named verification suite.
 """
 
 from .config import default_vertex_cap
-from .errors import (
-    QuiverkitError,
-    QuiverkitWarning,
-    SizeCapError,
-)
+from .errors import QuiverkitError, SizeCapError
 from .export import quiver_json_dict, to_dot, to_json
 from .iso import check_iso, iso_translation_quivers
 from .mutation import (
@@ -84,7 +80,6 @@ __all__ = [
     "PowerQuiver",
     "Quiver",
     "QuiverkitError",
-    "QuiverkitWarning",
     "Seed",
     "SizeCapError",
     "TranslationQuiver",

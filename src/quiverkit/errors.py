@@ -9,8 +9,3 @@ class QuiverkitError(Exception):
 
 class SizeCapError(QuiverkitError):
     """An instance exceeds the configured size cap for an operation."""
-
-
-class QuiverkitWarning(UserWarning):
-    """Non-fatal report, e.g. a translation map leaking out of a
-    connected component."""

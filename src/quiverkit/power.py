@@ -15,7 +15,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .config import default_vertex_cap
-from .errors import SizeCapError
+from .errors import QuiverkitError, SizeCapError
 from .iso import iso_translation_quivers
 from .polygon import gamma
 from .quiver import (
@@ -116,9 +116,7 @@ def decompose(pq: PowerQuiver | TranslationQuiver) -> list[TranslationQuiver]:
 
     Components follow arrows and translation links, so arrow-less vertex
     classes tied together by the translation (the n = 2 diagonal quivers)
-    stay in one piece.  The translation is restricted componentwise; if
-    it were ever to leave a component this is reported as a warning, not
-    a failure.
+    stay in one piece, and the translation restricts to each component.
     """
     tq = pq.result if isinstance(pq, PowerQuiver) else pq
     return split_components(tq)
@@ -154,13 +152,12 @@ def principal_component(
     """The component of ``power(gamma(n*m, 1), m)`` through the vertex (1, m+2).
 
     That component is a copy of ``gamma(n, m)``; with ``check=True`` the
-    isomorphism is verified and an ``AssertionError`` means a genuine
+    isomorphism is verified and a :class:`QuiverkitError` means a genuine
     defect, not a recoverable condition.
     """
     comp, _ = _gamma_power_components(n, m, cap)
-    if check:
-        phi = iso_translation_quivers(comp, gamma(n, m), cap=cap)
-        assert phi is not None, (
+    if check and iso_translation_quivers(comp, gamma(n, m), cap=cap) is None:
+        raise QuiverkitError(
             f"component through (1, {m + 2}) of the {m}-th power of "
             f"gamma({n * m},1) is not isomorphic to gamma({n},{m})"
         )

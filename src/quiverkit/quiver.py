@@ -16,13 +16,10 @@ are safe to share between threads.
 
 from __future__ import annotations
 
-import warnings
 from collections import Counter
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Hashable, Iterable, Mapping
-
-from .errors import QuiverkitWarning
 
 Vertex = Hashable
 Arrow = tuple[Vertex, Vertex]
@@ -336,22 +333,11 @@ def split_components(tq: TranslationQuiver) -> list[TranslationQuiver]:
     """One restricted translation quiver per component.
 
     Components follow arrows and translation links (see
-    :func:`connected_components`).  If tau maps a component outside
-    itself this is reported as a warning, never a failure.
+    :func:`connected_components`), so tau never leaves a component.
     """
-    out = []
-    for comp in connected_components(tq):
-        sub, dropped = restrict_translation_quiver(tq, comp)
-        if dropped:
-            pairs = ", ".join(
-                f"{vertex_label(y)}->{vertex_label(t)}" for y, t in dropped
-            )
-            warnings.warn(
-                f"translation map leaves a component: {pairs}", QuiverkitWarning,
-                stacklevel=2,
-            )
-        out.append(sub)
-    return out
+    return [
+        restrict_translation_quiver(tq, comp)[0] for comp in connected_components(tq)
+    ]
 
 
 def tau_orbits(tq: TranslationQuiver) -> list[tuple[Vertex, ...]]:

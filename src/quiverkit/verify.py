@@ -15,6 +15,7 @@ from typing import Callable
 
 import numpy as np
 
+from .errors import QuiverkitError
 from .iso import iso_translation_quivers
 from .mutation import (
     ExchangeMatrix,
@@ -123,7 +124,7 @@ def check_power_theorem_sweep() -> tuple[bool, str]:
     for n, m in pairs:
         try:
             principal_component(n, m, check=True)
-        except AssertionError as exc:
+        except QuiverkitError as exc:
             return False, f"failed at (n,m)=({n},{m}): {exc}"
     return True, f"{len(pairs)} pairs (n,m) with n*m+2 <= 14, all isomorphic"
 

@@ -1,6 +1,7 @@
 """Diagonals, crossing, the diagonal quivers and angulation enumeration."""
 
 import itertools
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -8,10 +9,12 @@ from hypothesis import strategies as st
 
 from quiverkit import (
     SizeCapError,
+    a_path_matrix,
     crossing,
     cyclic_gap,
     diagonals,
     enumerate_angulations,
+    enumerate_cluster_variables,
     gamma,
     is_m_diagonal,
     m_diagonals,
@@ -35,6 +38,49 @@ def splits_into_legal_pieces(d, n, m):
     if arc < 2 or N - arc < 2:
         return False
     return (arc - 1) % m == 0 and 1 <= (arc - 1) // m <= n - 1
+
+
+def grown_angulations(n, m):
+    """Grow-and-test reference: every non-crossing set of m-diagonals.
+
+    Sets grow in increasing index order, so each one is reached once, and
+    a set that no later diagonal extends is kept if no diagonal at all
+    extends it.  Slow (about 2 s at an 11-gon) but independent of the
+    cell recursion.
+    """
+    diags = m_diagonals(n, m)
+    k = len(diags)
+    compat = [[not crossing(diags[a], diags[b]) for b in range(k)] for a in range(k)]
+    results = []
+
+    def is_maximal(chosen):
+        return not any(
+            c not in chosen and all(compat[c][x] for x in chosen) for c in range(k)
+        )
+
+    def grow(chosen, start):
+        extended = False
+        for c in range(start, k):
+            if all(compat[c][x] for x in chosen):
+                chosen.append(c)
+                grow(chosen, c + 1)
+                chosen.pop()
+                extended = True
+        if not extended and is_maximal(chosen):
+            results.append(tuple(diags[x] for x in chosen))
+
+    grow([], 0)
+    return sorted(results)
+
+
+def polygon_pairs(max_ngon):
+    """Every (n, m) with n >= 2, m >= 1 and n*m + 2 <= max_ngon."""
+    return [
+        (n, m)
+        for m in range(1, max_ngon - 2)
+        for n in range(2, max_ngon)
+        if n * m + 2 <= max_ngon
+    ]
 
 
 def clockwise_arc(a, b, N):
@@ -216,11 +262,20 @@ class TestAngulations:
 
     def test_counts_match_fuss_catalan_formula(self):
         # 1/n * binom((m+1)n, n-1), an independent closed form.
-        from math import comb
-
-        for n, m in ((2, 2), (3, 2), (4, 2), (2, 3), (3, 3), (2, 4), (2, 5)):
+        for n, m in polygon_pairs(13):
             expected = comb((m + 1) * n, n - 1) // n
-            assert len(enumerate_angulations(n, m)) == expected
+            assert len(enumerate_angulations(n, m)) == expected, (n, m)
+
+    @pytest.mark.parametrize("n,m", polygon_pairs(10))
+    def test_matches_grow_and_test_reference(self, n, m):
+        assert enumerate_angulations(n, m) == grown_angulations(n, m)
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_triangulations_are_the_clusters_of_type_a(self, n):
+        # Triangulations of the (n+2)-gon are the clusters of A_{n-1}; the
+        # mutation closure counts them independently of any polygon code.
+        closure = enumerate_cluster_variables(a_path_matrix(n - 1))
+        assert len(enumerate_angulations(n, 1)) == closure.seed_count
 
     def test_polygon_cap(self):
         with pytest.raises(SizeCapError):

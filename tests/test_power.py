@@ -1,7 +1,12 @@
 """Sectional paths, quiver powers and their decomposition."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
+import quiverkit
 from quiverkit import (
     SizeCapError,
     compose_tau,
@@ -158,6 +163,25 @@ class TestPrincipalComponent:
     def test_size_cap(self):
         with pytest.raises(SizeCapError):
             principal_component(10, 2, cap=50)
+
+    def test_failed_iso_fails_the_sweep_under_optimize(self):
+        # ``python -O`` strips asserts; a failed isomorphism must still fail
+        # the verify sweep there.
+        code = (
+            "import importlib\n"
+            "power = importlib.import_module('quiverkit.power')\n"
+            "power.iso_translation_quivers = lambda *args, **kwargs: None\n"
+            "from quiverkit.verify import check_power_theorem_sweep\n"
+            "print(*check_power_theorem_sweep())\n"
+        )
+        src = os.path.dirname(os.path.dirname(quiverkit.__file__))
+        path = [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", code],
+            capture_output=True, text=True, env=env, timeout=120, check=True,
+        )
+        assert proc.stdout.startswith("False failed at (n,m)=(2,1): component"), proc.stdout
 
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
