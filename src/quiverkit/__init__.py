@@ -44,7 +44,6 @@ from .polygon import (
     row_of,
 )
 from .power import (
-    PowerQuiver,
     compose_tau,
     decompose,
     is_sectional,
@@ -77,7 +76,6 @@ __all__ = [
     "ExchangeMatrix",
     "LaurentFraction",
     "OrbitQuiver",
-    "PowerQuiver",
     "Quiver",
     "QuiverkitError",
     "Seed",

@@ -50,9 +50,9 @@ def _cmd_gamma(args) -> int:
 
 
 def _cmd_power(args) -> int:
-    pq = power(gamma(args.n, 1), args.m)
+    tq = power(gamma(args.n, 1), args.m)
     if args.components:
-        parts = decompose(pq)
+        parts = decompose(tq)
         if args.emit == "dot":
             _emit(components_dot(parts), args.out)
         else:
@@ -60,9 +60,9 @@ def _cmd_power(args) -> int:
             _emit(_dump(payload), args.out)
     else:
         if args.emit == "dot":
-            _emit(to_dot(pq.result, name=f"power_{args.n}_{args.m}"), args.out)
+            _emit(to_dot(tq, name=f"power_{args.n}_{args.m}"), args.out)
         else:
-            _emit(to_json(pq.result, schema=SCHEMA, n=args.n, m=args.m), args.out)
+            _emit(to_json(tq, schema=SCHEMA, n=args.n, m=args.m), args.out)
     return 0
 
 

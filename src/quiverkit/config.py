@@ -1,9 +1,13 @@
 """Size caps.
 
-The default vertex cap guards the search-type operations (isomorphism,
-powers, classification); ``QUIVERKIT_CAP`` in the environment overrides
-it.  Angulation enumeration has its own polygon-size cap because its
-output grows like a Fuss-Catalan number.
+The default vertex cap guards the search-type operations: the
+isomorphism search, and the power decomposition behind
+``principal_component`` and ``classify_components`` (capped on the size
+of ``gamma(n*m, 1)``).  ``QUIVERKIT_CAP`` in the environment overrides
+it.  The builders ``gamma``, ``power`` and ``orbit_quiver`` are not
+capped, as they build their output without a search.  Angulation
+enumeration has its own polygon-size cap because its output grows like
+a Fuss-Catalan number.
 """
 
 from __future__ import annotations

@@ -4,26 +4,20 @@ from __future__ import annotations
 
 import json
 
-from .quiver import Quiver, TranslationQuiver, arrow_key, vertex_key, vertex_label
+from .quiver import Quiver, TranslationQuiver, vertex_label
 
 
 def quiver_json_dict(tq: TranslationQuiver | Quiver) -> dict:
     """``{"vertices": [...], "arrows": [[src, tgt], ...], "tau": {...}}``.
 
-    Labels follow the package-wide vertex order, so equal quivers
-    serialize to identical bytes.
+    Labels follow the package-wide vertex order that the quiver already
+    holds, so equal quivers serialize to identical bytes.
     """
-    if isinstance(tq, Quiver):
-        q, tau = tq, {}
-    else:
-        q, tau = tq.quiver, dict(tq.tau)
+    q, tau = (tq, {}) if isinstance(tq, Quiver) else (tq.quiver, tq.tau)
     return {
         "vertices": [vertex_label(v) for v in q.sorted_vertices()],
         "arrows": [[vertex_label(s), vertex_label(t)] for s, t in q.arrows],
-        "tau": {
-            vertex_label(y): vertex_label(tau[y])
-            for y in sorted(tau, key=vertex_key)
-        },
+        "tau": {vertex_label(y): vertex_label(ty) for y, ty in tau.items()},
     }
 
 
@@ -36,18 +30,15 @@ def to_json(tq: TranslationQuiver | Quiver, **extra) -> str:
 
 def to_dot(tq: TranslationQuiver | Quiver, name: str = "quiver") -> str:
     """One digraph; solid arrows, dashed ``tau`` edges from y to tau(y)."""
-    if isinstance(tq, Quiver):
-        q, tau = tq, {}
-    else:
-        q, tau = tq.quiver, dict(tq.tau)
+    q, tau = (tq, {}) if isinstance(tq, Quiver) else (tq.quiver, tq.tau)
     lines = [f"digraph {name} {{"]
     for v in q.sorted_vertices():
         lines.append(f'  "{vertex_label(v)}";')
     for s, t in q.arrows:
         lines.append(f'  "{vertex_label(s)}" -> "{vertex_label(t)}";')
-    for y in sorted(tau, key=vertex_key):
+    for y, ty in tau.items():
         lines.append(
-            f'  "{vertex_label(y)}" -> "{vertex_label(tau[y])}"'
+            f'  "{vertex_label(y)}" -> "{vertex_label(ty)}"'
             ' [style=dashed, label="tau"];'
         )
     lines.append("}")

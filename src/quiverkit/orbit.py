@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from .iso import iso_translation_quivers
 from .polygon import gamma
 from .power import _gamma_power_components
-from .quiver import Quiver, TranslationQuiver, tau_orbits, vertex_key
+from .quiver import Quiver, TranslationQuiver, tau_orbits
 
 ZAVertex = tuple[int, int]
 
@@ -133,12 +133,12 @@ def orbit_quiver(k: int, s: int, r: int) -> OrbitQuiver:
     reps = [(p, i) for i in range(1, k + 1) for p in range(S + rho * (k + 1 - i))]
     arrows = []
     tau = {}
-    for c in sorted(reps, key=vertex_key):
+    for c in reps:
         for t in rule.arrows_from(c):
             arrows.append((c, normalize(t)))
         tau[c] = normalize(rule.tau(c))
 
-    quotient = TranslationQuiver(Quiver(set(reps), arrows), tau)
+    quotient = TranslationQuiver(Quiver(reps, arrows), tau)
     return OrbitQuiver(k=k, quotient=quotient)
 
 
@@ -257,7 +257,7 @@ def _match_component(
         triples = []
     return ComponentMatch(
         size=len(comp.vertices),
-        vertices=tuple(sorted(comp.vertices, key=vertex_key)),
+        vertices=tuple(comp.sorted_vertices()),
         match=triples[0] if triples else None,
         all_matches=tuple(triples),
     )

@@ -132,7 +132,7 @@ def gamma(n: int, m: int = 1) -> TranslationQuiver:
                     arrows.add((d, tgt))
 
     tau = {d: normalize_pair((d[0] - m, d[1] - m), N) for d in verts}
-    return TranslationQuiver(Quiver(verts, sorted(arrows)), tau)
+    return TranslationQuiver(Quiver(verts, arrows), tau)
 
 
 def enumerate_angulations(

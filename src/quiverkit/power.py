@@ -11,20 +11,11 @@ them into component translation quivers.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
-
 from .config import default_vertex_cap
 from .errors import QuiverkitError, SizeCapError
 from .iso import iso_translation_quivers
 from .polygon import gamma
-from .quiver import (
-    Quiver,
-    TranslationQuiver,
-    Vertex,
-    split_components,
-    vertex_key,
-)
+from .quiver import Quiver, TranslationQuiver, Vertex, split_components
 
 Path = tuple[Vertex, ...]
 
@@ -85,16 +76,7 @@ def compose_tau(tq: TranslationQuiver, times: int) -> dict:
     return tau
 
 
-@dataclass(frozen=True)
-class PowerQuiver:
-    """Result of taking the m-th power of a translation quiver."""
-
-    base: TranslationQuiver
-    m: int
-    result: TranslationQuiver
-
-
-def power(tq: TranslationQuiver, m: int) -> PowerQuiver:
+def power(tq: TranslationQuiver, m: int) -> TranslationQuiver:
     """The m-th power: same vertices, sectional length-m paths as arrows.
 
     Arrow multiplicity equals the number of sectional paths between the
@@ -103,22 +85,17 @@ def power(tq: TranslationQuiver, m: int) -> PowerQuiver:
     """
     if m < 1:
         raise ValueError(f"need m >= 1, got m={m}")
-    counts = Counter((p[0], p[-1]) for p in sectional_paths(tq, m))
-    arrows = []
-    for (s, t), c in sorted(counts.items(), key=lambda it: (vertex_key(it[0][0]), vertex_key(it[0][1]))):
-        arrows.extend([(s, t)] * c)
-    result = TranslationQuiver(Quiver(tq.vertices, arrows), compose_tau(tq, m))
-    return PowerQuiver(base=tq, m=m, result=result)
+    arrows = [(p[0], p[-1]) for p in sectional_paths(tq, m)]
+    return TranslationQuiver(Quiver(tq.vertices, arrows), compose_tau(tq, m))
 
 
-def decompose(pq: PowerQuiver | TranslationQuiver) -> list[TranslationQuiver]:
+def decompose(tq: TranslationQuiver) -> list[TranslationQuiver]:
     """Component translation quivers, largest first.
 
     Components follow arrows and translation links, so arrow-less vertex
     classes tied together by the translation (the n = 2 diagonal quivers)
     stay in one piece, and the translation restricts to each component.
     """
-    tq = pq.result if isinstance(pq, PowerQuiver) else pq
     return split_components(tq)
 
 
@@ -146,17 +123,15 @@ def _gamma_power_components(
     return principal, [c for c in comps if c is not principal]
 
 
-def principal_component(
-    n: int, m: int, cap: int | None = None, check: bool = True
-) -> TranslationQuiver:
+def principal_component(n: int, m: int, cap: int | None = None) -> TranslationQuiver:
     """The component of ``power(gamma(n*m, 1), m)`` through the vertex (1, m+2).
 
-    That component is a copy of ``gamma(n, m)``; with ``check=True`` the
-    isomorphism is verified and a :class:`QuiverkitError` means a genuine
-    defect, not a recoverable condition.
+    That component is a copy of ``gamma(n, m)``.  The isomorphism is
+    verified, and a :class:`QuiverkitError` means a genuine defect, not a
+    recoverable condition.
     """
     comp, _ = _gamma_power_components(n, m, cap)
-    if check and iso_translation_quivers(comp, gamma(n, m), cap=cap) is None:
+    if iso_translation_quivers(comp, gamma(n, m), cap=cap) is None:
         raise QuiverkitError(
             f"component through (1, {m + 2}) of the {m}-th power of "
             f"gamma({n * m},1) is not isomorphic to gamma({n},{m})"

@@ -12,6 +12,14 @@ use tuples of integers such as ``(1, 4)``; :func:`vertex_key` gives those
 their natural order so that every listing in the package is
 deterministic.  All structures are immutable after construction, so they
 are safe to share between threads.
+
+This module is the only place that orders vertices.  A :class:`Quiver`
+sorts once, when it is built: ``sorted_vertices()``, ``arrows`` and the
+pairs of ``out``/``into`` follow :func:`vertex_key` (arrows by source,
+then target), and a :class:`TranslationQuiver` lists ``tau`` in the
+:func:`vertex_key` order of its domain.  Everything downstream (powers,
+strip quotients, components, DOT/JSON) reads these listings as they are
+instead of sorting again.
 """
 
 from __future__ import annotations
@@ -26,11 +34,16 @@ Arrow = tuple[Vertex, Vertex]
 
 
 def vertex_key(v: Vertex):
-    """Deterministic sort key; integer tuples sort numerically."""
+    """Deterministic sort key; integer tuples sort numerically.
+
+    Integer tuples sort by length, then entries; an int ``v`` sorts
+    right after the 1-tuple ``(v,)``; other vertices come last, by
+    ``repr``.
+    """
     if isinstance(v, tuple) and all(isinstance(c, int) for c in v):
-        return (0, len(v), v, "")
+        return (0, len(v), v, 0)
     if isinstance(v, int):
-        return (0, 1, (v,), "")
+        return (0, 1, (v,), 1)
     return (1, 0, (), repr(v))
 
 
@@ -41,29 +54,30 @@ def vertex_label(v: Vertex) -> str:
     return str(v)
 
 
-def arrow_key(a: Arrow):
-    return (vertex_key(a[0]), vertex_key(a[1]))
-
-
 class Quiver:
     """A finite directed multigraph.
 
     ``arrows`` is a multiset: repeated ``(source, target)`` pairs mean
-    parallel arrows.  The constructor accepts arrows whose endpoints are
-    not listed as vertices; :func:`validate_translation_quiver` reports
-    such defects instead of the constructor raising, so that broken
-    inputs can be examined.
+    parallel arrows, given in any order.  The constructor accepts arrows
+    whose endpoints are not listed as vertices;
+    :func:`validate_translation_quiver` reports such defects instead of
+    the constructor raising, so that broken inputs can be examined.
+    Vertices and arrows are sorted here, once (see the module docstring).
     """
 
-    __slots__ = ("_vertices", "_arrows", "_counts", "_out", "_in")
+    __slots__ = ("_vertices", "_sorted", "_arrows", "_counts", "_out", "_in")
 
     def __init__(self, vertices: Iterable[Vertex], arrows: Iterable[Arrow] = ()):
         self._vertices = frozenset(vertices)
-        self._arrows = tuple(sorted(((s, t) for s, t in arrows), key=arrow_key))
+        arrows = [(s, t) for s, t in arrows]
+        ends = sorted(self._vertices.union(*arrows), key=vertex_key)
+        rank = {v: i for i, v in enumerate(ends)}
+        self._sorted = tuple(v for v in ends if v in self._vertices)
+        self._arrows = tuple(sorted(arrows, key=lambda a: (rank[a[0]], rank[a[1]])))
         self._counts = Counter(self._arrows)
         out: dict[Vertex, list[tuple[Vertex, int]]] = {v: [] for v in self._vertices}
         inn: dict[Vertex, list[tuple[Vertex, int]]] = {v: [] for v in self._vertices}
-        for (s, t), c in sorted(self._counts.items(), key=lambda it: arrow_key(it[0])):
+        for (s, t), c in self._counts.items():
             out.setdefault(s, []).append((t, c))
             inn.setdefault(t, []).append((s, c))
         self._out = out
@@ -78,7 +92,7 @@ class Quiver:
         return self._arrows
 
     def sorted_vertices(self) -> list[Vertex]:
-        return sorted(self._vertices, key=vertex_key)
+        return list(self._sorted)
 
     def arrow_count(self, source: Vertex, target: Vertex) -> int:
         return self._counts.get((source, target), 0)
@@ -240,19 +254,17 @@ def validate_translation_quiver(tq: TranslationQuiver) -> ValidationResult:
                 )
 
     images = Counter(tau.values())
-    for w, c in sorted(images.items(), key=lambda it: vertex_key(it[0])):
-        if c > 1:
-            clashing = tuple(sorted((y for y in tau if tau[y] == w), key=vertex_key))
-            violations.append(
-                Violation(
-                    "tau-injectivity",
-                    f"tau maps {len(clashing)} vertices to {vertex_label(w)}",
-                    pair=clashing,
-                )
+    for w in sorted((w for w, c in images.items() if c > 1), key=vertex_key):
+        clashing = tuple(y for y in tau if tau[y] == w)
+        violations.append(
+            Violation(
+                "tau-injectivity",
+                f"tau maps {len(clashing)} vertices to {vertex_label(w)}",
+                pair=clashing,
             )
+        )
 
-    for y in sorted(tau, key=vertex_key):
-        ty = tau[y]
+    for y, ty in tau.items():
         sources = {x for x, _ in q.into(y)} | {x for x, _ in q.out(ty)}
         for x in sorted(sources, key=vertex_key):
             c_in = q.arrow_count(x, y)
@@ -279,7 +291,8 @@ def connected_components(q: Quiver | TranslationQuiver) -> list[frozenset]:
     A :class:`Quiver` is linked by its arrows; a :class:`TranslationQuiver`
     by its arrows and its translation, which ties together arrow-less
     vertices such as the diagonals of a square.  The list is sorted by
-    (size descending, smallest vertex).
+    (size descending, smallest vertex): each component is found from its
+    smallest vertex, and the sort by size is stable.
     """
     links = q.arrows
     if isinstance(q, TranslationQuiver):
@@ -304,29 +317,21 @@ def connected_components(q: Quiver | TranslationQuiver) -> list[frozenset]:
                     stack.append(w)
         seen |= comp
         comps.append(frozenset(comp))
-    comps.sort(key=lambda c: (-len(c), min(vertex_key(v) for v in c)))
+    comps.sort(key=len, reverse=True)
     return comps
 
 
 def restrict_translation_quiver(
     tq: TranslationQuiver, vertices: Iterable[Vertex]
-) -> tuple[TranslationQuiver, tuple[tuple[Vertex, Vertex], ...]]:
+) -> TranslationQuiver:
     """Restrict arrows and tau to a vertex subset.
 
-    Returns the restricted translation quiver and the tau pairs that were
-    dropped because exactly one endpoint lies inside the subset.
+    Arrows and tau pairs with an endpoint outside the subset are left out.
     """
     keep = frozenset(vertices)
     arrows = [(s, t) for s, t in tq.arrows if s in keep and t in keep]
-    tau = {}
-    dropped = []
-    for y, ty in tq.tau.items():
-        if y in keep and ty in keep:
-            tau[y] = ty
-        elif (y in keep) != (ty in keep):
-            dropped.append((y, ty))
-    sub = TranslationQuiver(Quiver(keep, arrows), tau)
-    return sub, tuple(dropped)
+    tau = {y: ty for y, ty in tq.tau.items() if y in keep and ty in keep}
+    return TranslationQuiver(Quiver(keep, arrows), tau)
 
 
 def split_components(tq: TranslationQuiver) -> list[TranslationQuiver]:
@@ -335,9 +340,7 @@ def split_components(tq: TranslationQuiver) -> list[TranslationQuiver]:
     Components follow arrows and translation links (see
     :func:`connected_components`), so tau never leaves a component.
     """
-    return [
-        restrict_translation_quiver(tq, comp)[0] for comp in connected_components(tq)
-    ]
+    return [restrict_translation_quiver(tq, comp) for comp in connected_components(tq)]
 
 
 def tau_orbits(tq: TranslationQuiver) -> list[tuple[Vertex, ...]]:

@@ -123,7 +123,7 @@ def check_power_theorem_sweep() -> tuple[bool, str]:
     pairs = _theorem_pairs()
     for n, m in pairs:
         try:
-            principal_component(n, m, check=True)
+            principal_component(n, m)
         except QuiverkitError as exc:
             return False, f"failed at (n,m)=({n},{m}): {exc}"
     return True, f"{len(pairs)} pairs (n,m) with n*m+2 <= 14, all isomorphic"
@@ -134,7 +134,7 @@ def check_power_stability_sweep() -> tuple[bool, str]:
     for n in range(2, 11):
         base = gamma(n, 1)
         for m in range(1, 5):
-            res = validate_translation_quiver(power(base, m).result)
+            res = validate_translation_quiver(power(base, m))
             if not (res.ok and res.stable):
                 return False, f"power(gamma({n},1),{m}) is not a stable translation quiver"
             tried += 1

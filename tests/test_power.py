@@ -71,10 +71,10 @@ class TestPower:
     def test_first_power_keeps_arrows(self):
         for n, m in ((4, 1), (3, 2)):
             base = gamma(n, m)
-            assert power(base, 1).result.arrows == base.arrows
+            assert power(base, 1).arrows == base.arrows
 
     def test_octagon_square_contains_long_arrow(self):
-        sq = power(gamma(6, 1), 2).result
+        sq = power(gamma(6, 1), 2)
         assert sq.quiver.arrow_count((1, 4), (1, 6)) == 1
 
     def test_octagon_square_has_three_components(self):
@@ -87,18 +87,18 @@ class TestPower:
     def test_vertices_are_preserved(self):
         base = gamma(7, 1)
         for m in range(1, 5):
-            assert power(base, m).result.vertices == base.vertices
+            assert power(base, m).vertices == base.vertices
 
     def test_powers_stay_stable(self):
         for n in range(2, 9):
             base = gamma(n, 1)
             for m in range(1, 4):
-                res = validate_translation_quiver(power(base, m).result)
+                res = validate_translation_quiver(power(base, m))
                 assert res.ok and res.stable, (n, m)
 
     def test_translation_is_m_fold_composite(self):
         base = gamma(6, 1)
-        sq = power(base, 2).result
+        sq = power(base, 2)
         for v in base.sorted_vertices():
             assert sq.tau_of(v) == base.tau_of(base.tau_of(v))
         assert compose_tau(base, 2) == dict(sq.tau)
@@ -106,7 +106,7 @@ class TestPower:
     def test_multiplicities_match_brute_force(self):
         for n, m in ((6, 2), (5, 3), (8, 2)):
             base = gamma(n, 1)
-            pw = power(base, m).result
+            pw = power(base, m)
             for src in base.sorted_vertices():
                 for tgt in base.sorted_vertices():
                     assert pw.quiver.arrow_count(src, tgt) == brute_sectional_count(
@@ -115,7 +115,7 @@ class TestPower:
 
     def test_power_multiplicities_at_most_one_on_these_instances(self):
         for n, m in ((6, 2), (6, 3), (10, 2)):
-            pw = power(gamma(n, 1), m).result
+            pw = power(gamma(n, 1), m)
             assert len(set(pw.arrows)) == len(pw.arrows)
 
 
@@ -157,7 +157,7 @@ class TestPrincipalComponent:
 
     def test_theorem_sweep_small(self):
         for n, m in ((2, 2), (3, 3), (5, 2), (6, 2), (4, 3), (2, 5)):
-            comp = principal_component(n, m, check=False)
+            comp = principal_component(n, m)
             assert iso_translation_quivers(comp, gamma(n, m)) is not None, (n, m)
 
     def test_size_cap(self):

@@ -1,8 +1,11 @@
 """Core quiver/translation-quiver structures, validation and isomorphism."""
 
 import json
+import os
+import subprocess
 import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -27,6 +30,8 @@ from quiverkit import (
     to_dot,
     to_json,
     validate_translation_quiver,
+    vertex_key,
+    vertex_label,
 )
 from quiverkit.cli import main
 
@@ -121,7 +126,7 @@ class TestComponents:
         assert [sorted(c) for c in comps] == [["a"], ["b"]]
 
     def test_octagon_square_underlying_quiver_splits_8_6_6(self):
-        sq = power(gamma(6, 1), 2).result
+        sq = power(gamma(6, 1), 2)
         comps = connected_components(sq.quiver)
         assert [len(c) for c in comps] == [8, 6, 6]
 
@@ -153,11 +158,121 @@ class TestComponents:
         assert [len(c) for c in connected_components(square)] == [2]
 
     def test_restriction_of_component_passes_validation(self):
-        sq = power(gamma(6, 1), 2).result
+        sq = power(gamma(6, 1), 2)
         for comp in connected_components(sq):
-            sub, dropped = restrict_translation_quiver(sq, comp)
-            assert dropped == ()
-            assert validate_translation_quiver(sub).ok
+            res = validate_translation_quiver(restrict_translation_quiver(sq, comp))
+            assert res.ok and res.stable
+
+
+MIXED_VERTICES = st.one_of(
+    st.integers(-3, 4),
+    st.lists(st.integers(-2, 4), min_size=1, max_size=3).map(tuple),
+    st.sampled_from(["a", "b", "x1", "ghost"]),
+)
+
+
+@st.composite
+def mixed_translation_quivers(draw):
+    """Shuffled vertices, arrows and tau over mixed vertex types.
+
+    Arrow and tau endpoints may lie outside the vertex set, and arrows
+    repeat (parallel arrows).
+    """
+    vertices = draw(st.lists(MIXED_VERTICES, max_size=10, unique=True))
+    ends = st.sampled_from(vertices + draw(st.lists(MIXED_VERTICES, min_size=1, max_size=2)))
+    arrows = draw(st.lists(st.tuples(ends, ends), max_size=20))
+    arrows = draw(st.permutations(arrows + arrows[: draw(st.integers(0, 3))]))
+    tau = dict(draw(st.lists(st.tuples(ends, ends), max_size=8)))
+    return vertices, arrows, tau
+
+
+def _arrow_key(a):
+    return (vertex_key(a[0]), vertex_key(a[1]))
+
+
+def _reference_components(q):
+    """``connected_components``' partition, ordered by (size descending, least vertex)."""
+    return sorted(
+        connected_components(q), key=lambda c: (-len(c), min(vertex_key(v) for v in c))
+    )
+
+
+def _reference_dot(vertices, arrows, tau):
+    lines = ["digraph quiver {"]
+    lines += [f'  "{vertex_label(v)}";' for v in vertices]
+    lines += [f'  "{vertex_label(s)}" -> "{vertex_label(t)}";' for s, t in arrows]
+    lines += [
+        f'  "{vertex_label(y)}" -> "{vertex_label(ty)}" [style=dashed, label="tau"];'
+        for y, ty in tau
+    ]
+    return "\n".join(lines + ["}"]) + "\n"
+
+
+def _reference_json(vertices, arrows, tau):
+    payload = {
+        "vertices": [vertex_label(v) for v in vertices],
+        "arrows": [[vertex_label(s), vertex_label(t)] for s, t in arrows],
+        "tau": {vertex_label(y): vertex_label(ty) for y, ty in tau},
+    }
+    return json.dumps(payload, indent=2) + "\n"
+
+
+class TestVertexOrder:
+    """Quiver and TranslationQuiver sort once; everything else reads their order."""
+
+    @given(mixed_translation_quivers())
+    @settings(max_examples=200, deadline=None)
+    def test_listings_follow_vertex_key(self, data):
+        # The reference sorts with vertex_key on every call, as the
+        # package did before the order was fixed at construction.
+        vertices, arrows, tau = data
+        q = Quiver(vertices, arrows)
+        tq = TranslationQuiver(q, tau)
+        ref_vertices = sorted(set(vertices), key=vertex_key)
+        ref_arrows = sorted(arrows, key=_arrow_key)
+        counts = sorted(Counter(arrows).items(), key=lambda it: _arrow_key(it[0]))
+        ref_tau = [(y, tau[y]) for y in sorted(tau, key=vertex_key)]
+
+        assert q.arrows == tuple(ref_arrows)
+        assert q.sorted_vertices() == tq.sorted_vertices() == ref_vertices
+        for v in {*vertices, *(end for a in arrows for end in a)}:
+            assert q.out(v) == tuple((t, c) for (s, t), c in counts if s == v)
+            assert q.into(v) == tuple((s, c) for (s, t), c in counts if t == v)
+        assert list(tq.tau.items()) == ref_tau
+        assert connected_components(q) == _reference_components(q)
+        assert connected_components(tq) == _reference_components(tq)
+        assert to_dot(q) == _reference_dot(ref_vertices, ref_arrows, [])
+        assert to_dot(tq) == _reference_dot(ref_vertices, ref_arrows, ref_tau)
+        assert to_json(q) == _reference_json(ref_vertices, ref_arrows, [])
+        assert to_json(tq) == _reference_json(ref_vertices, ref_arrows, ref_tau)
+
+    def test_int_and_one_tuple_have_distinct_keys(self):
+        assert vertex_key(3) != vertex_key((3,))
+        assert Quiver([3, (3,), (2,), 4]).sorted_vertices() == [(2,), (3,), 3, 4]
+
+    def test_listing_does_not_depend_on_the_hash_seed(self):
+        # String hashing changes with PYTHONHASHSEED and with it set
+        # iteration order; the listing must not.  The child loads only
+        # quiverkit.quiver (standard library imports only), not the package.
+        package = Path(sys.modules["quiverkit"].__file__).parent
+        code = (
+            "import sys, types\n"
+            "pkg = types.ModuleType('quiverkit')\n"
+            f"pkg.__path__ = [{str(package)!r}]\n"
+            "sys.modules['quiverkit'] = pkg\n"
+            "from quiverkit.quiver import Quiver, TranslationQuiver\n"
+            "q = Quiver(['ghost', 3, (3,), 'x1'])\n"
+            "tq = TranslationQuiver(q, {v: v for v in q.vertices})\n"
+            "print(q.sorted_vertices(), list(tq.tau))\n"
+        )
+        listings = {
+            subprocess.run(
+                [sys.executable, "-c", code], capture_output=True, text=True,
+                env={**os.environ, "PYTHONHASHSEED": str(seed)}, timeout=60, check=True,
+            ).stdout
+            for seed in range(16)
+        }
+        assert len(listings) == 1, listings
 
 
 class TestIsomorphism:
