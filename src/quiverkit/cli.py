@@ -13,7 +13,7 @@ import json
 import sys
 
 from .errors import SizeCapError
-from .export import components_dot, components_json_dict, to_dot, to_json
+from .export import _dump, components_dot, components_json_dict, to_dot, to_json
 from .mutation import (
     ExchangeMatrix,
     enumerate_cluster_variables,
@@ -34,10 +34,6 @@ def _emit(text: str, out: str | None) -> None:
     else:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
-
-
-def _dump(payload: dict) -> str:
-    return json.dumps(payload, indent=2) + "\n"
 
 
 def _cmd_gamma(args) -> int:

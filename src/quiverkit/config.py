@@ -19,8 +19,14 @@ DEFAULT_ANGULATION_POLYGON_CAP = 16
 
 
 def default_vertex_cap() -> int:
-    """Vertex cap from ``QUIVERKIT_CAP``, else 5000."""
+    """Vertex cap from ``QUIVERKIT_CAP``, else 5000.
+
+    Raises ``ValueError`` naming the variable when it is not an integer.
+    """
     raw = os.environ.get("QUIVERKIT_CAP")
     if raw is None or not raw.strip():
         return DEFAULT_VERTEX_CAP
-    return int(raw)
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"QUIVERKIT_CAP must be an integer, got {raw!r}") from None

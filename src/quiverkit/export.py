@@ -21,11 +21,16 @@ def quiver_json_dict(tq: TranslationQuiver | Quiver) -> dict:
     }
 
 
+def _dump(payload: dict) -> str:
+    """The package's JSON text: two-space indent and a final newline."""
+    return json.dumps(payload, indent=2) + "\n"
+
+
 def to_json(tq: TranslationQuiver | Quiver, **extra) -> str:
     """JSON text with optional extra top-level keys placed first."""
     payload = dict(extra)
     payload.update(quiver_json_dict(tq))
-    return json.dumps(payload, indent=2) + "\n"
+    return _dump(payload)
 
 
 def to_dot(tq: TranslationQuiver | Quiver, name: str = "quiver") -> str:

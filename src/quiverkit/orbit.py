@@ -30,9 +30,21 @@ length ``S`` for ``rho = 0`` and ``B`` for ``rho = 1``.  For ``k = 1``
 the shift is ``tau^-1`` and the quotient is an arrowless tau-cycle of
 ``s + r`` vertices.
 
+The quotient ``ZA_k / tau^-1 [m]`` is the diagonal quiver
+``gamma(k+1, m)`` of the ((k+1)m+2)-gon, label for label under
+
+    φ(p, i) = normalize_pair((1 + m*p, 2 + m*(p + i)), (k+1)*m + 2),
+
+which sends slice ``p`` to the m-diagonals from vertex ``1 + m*p`` and
+row ``i`` to the diagonals that cut off an (i*m + 2)-gon.
+``check_orbit_model_pinning`` in :mod:`quiverkit.verify` confirms φ with
+:func:`~quiverkit.iso.check_iso` instead of searching for an isomorphism.
+
 :func:`classify_components` decomposes the m-th power of the diagonal
-quiver of an (n*m+2)-gon, reads the normal form of every non-principal
-component off these invariants and confirms it with one isomorphism test.
+quiver of an (n*m+2)-gon, compares the principal component with
+``gamma(n, m)`` for equality (see :mod:`quiverkit.power`), reads the
+normal form of every other component off these invariants and confirms
+it with one isomorphism test.
 """
 
 from __future__ import annotations
@@ -40,7 +52,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .iso import iso_translation_quivers
-from .polygon import gamma
+from .polygon import gamma, normalize_pair
 from .power import _gamma_power_components
 from .quiver import Quiver, TranslationQuiver, tau_orbits
 
@@ -140,6 +152,19 @@ def orbit_quiver(k: int, s: int, r: int) -> OrbitQuiver:
 
     quotient = TranslationQuiver(Quiver(reps, arrows), tau)
     return OrbitQuiver(k=k, quotient=quotient)
+
+
+def _diagonal_labels(oq: OrbitQuiver, m: int) -> dict[ZAVertex, tuple[int, int]]:
+    """φ of the module docstring, on the vertices of ``oq = orbit_quiver(k, 1, m)``.
+
+    Maps each vertex of the quotient to the m-diagonal that labels it in
+    ``gamma(k+1, m)``.
+    """
+    N = (oq.k + 1) * m + 2
+    return {
+        (p, i): normalize_pair((1 + m * p, 2 + m * (p + i)), N)
+        for p, i in oq.quotient.sorted_vertices()
+    }
 
 
 @dataclass(frozen=True)
@@ -266,7 +291,8 @@ def _match_component(
 def classify_components(n: int, m: int, cap: int | None = None) -> ComponentReport:
     """Decompose the m-th power of the diagonal quiver and tag each component.
 
-    The component through (1, m+2) is verified against gamma(n, m); every
+    The component through (1, m+2) is compared with gamma(n, m) for
+    equality (see :func:`~quiverkit.power.principal_component`); every
     other component is matched by its strip normal form and one
     isomorphism test (see the module docstring).  ``all_matches`` lists
     every (k, s, r) with 1 <= r <= m, s >= 0 and k < n*m that gives the
@@ -281,9 +307,7 @@ def classify_components(n: int, m: int, cap: int | None = None) -> ComponentRepo
     convention or its k accounts for the difference is an open question.
     """
     principal, rest = _gamma_power_components(n, m, cap)
-    principal_ok = (
-        iso_translation_quivers(principal, gamma(n, m), cap=cap) is not None
-    )
+    principal_ok = principal == gamma(n, m)
     others = tuple(_match_component(c, n, m, cap) for c in rest)
 
     if m % 2 == 1:

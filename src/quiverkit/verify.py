@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import QuiverkitError
-from .iso import iso_translation_quivers
+from .iso import check_iso, iso_translation_quivers
 from .mutation import (
     ExchangeMatrix,
     LaurentFraction,
@@ -27,7 +27,7 @@ from .mutation import (
     mutate_matrix,
     mutate_seed,
 )
-from .orbit import classify_components, orbit_quiver
+from .orbit import _diagonal_labels, classify_components, orbit_quiver
 from .polygon import enumerate_angulations, gamma, row_of
 from .power import decompose, power, principal_component
 from .quiver import validate_translation_quiver
@@ -103,7 +103,7 @@ def check_octagon_power_components() -> tuple[bool, str]:
     if ok:
         big = comps[0]
         ok = (1, 4) in big.vertices
-        ok = ok and iso_translation_quivers(big, gamma(3, 2)) is not None
+        ok = ok and big == gamma(3, 2)
         reference = orbit_quiver(3, 0, 1).quotient
         for small in comps[1:]:
             ok = ok and iso_translation_quivers(small, reference) is not None
@@ -145,7 +145,7 @@ def check_orbit_model_pinning() -> tuple[bool, str]:
     pairs = [(k, m) for k in range(1, 12) for m in range(1, 13) if (k + 1) * m <= 12]
     for k, m in pairs:
         oq = orbit_quiver(k, 1, m)
-        if iso_translation_quivers(oq.quotient, gamma(k + 1, m)) is None:
+        if not check_iso(oq.quotient, gamma(k + 1, m), _diagonal_labels(oq, m)):
             return False, f"orbit_quiver({k},1,{m}) is not gamma({k + 1},{m})"
     return True, f"{len(pairs)} quotients match gamma(k+1,m), incl. (3,1,1) and (2,1,2)"
 

@@ -95,6 +95,13 @@ class TestClassify:
         assert code == 3
         assert "size cap" in err
 
+    def test_bad_cap_variable_is_a_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("QUIVERKIT_CAP", "abc")
+        code, out, err = run(capsys, "classify", "--n", "3", "--m", "2")
+        assert code == 2
+        assert out == ""
+        assert err == "error: QUIVERKIT_CAP must be an integer, got 'abc'\n"
+
 
 class TestMutate:
     def test_steps(self, capsys):

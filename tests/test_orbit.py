@@ -3,21 +3,30 @@
 import pytest
 
 import quiverkit.orbit
+import quiverkit.verify
 from quiverkit import (
     Quiver,
     SizeCapError,
     TranslationQuiver,
     ZARule,
+    check_iso,
     classify_components,
     decompose,
     gamma,
     iso_translation_quivers,
+    normalize_pair,
     orbit_quiver,
     power,
     validate_translation_quiver,
     vertex_key,
 )
-from quiverkit.orbit import _match_component, _normal_forms
+from quiverkit.orbit import _diagonal_labels, _match_component, _normal_forms
+from quiverkit.verify import check_orbit_model_pinning
+
+# The (k, m) that the verify check orbit-model-pinning runs.
+VERIFY_PINNING_PAIRS = [
+    (k, m) for k in range(1, 12) for m in range(1, 13) if (k + 1) * m <= 12
+]
 
 
 def window_orbit_count(k, s, r):
@@ -255,9 +264,36 @@ class TestOrbitQuiver:
                     assert dict(got.tau) == dict(expected.tau), (k, s, r)
 
     def test_pinning_against_diagonal_quivers(self):
-        for k, m in ((3, 1), (2, 2), (1, 4), (5, 2), (2, 4), (11, 1)):
+        # The search stays the oracle for the closed-form map φ.
+        assert len(VERIFY_PINNING_PAIRS) == 23
+        for k, m in VERIFY_PINNING_PAIRS:
+            quotient, target = orbit_quiver(k, 1, m).quotient, gamma(k + 1, m)
+            phi = iso_translation_quivers(quotient, target)
+            assert phi is not None and check_iso(quotient, target, phi), (k, m)
+
+    def test_closed_form_map_is_an_isomorphism(self):
+        pairs = [(k, m) for m in range(1, 31) for k in range(1, 60) if (k + 1) * m <= 60]
+        assert len(pairs) == 201
+        for k, m in pairs:
             oq = orbit_quiver(k, 1, m)
-            assert iso_translation_quivers(oq.quotient, gamma(k + 1, m)) is not None
+            assert check_iso(oq.quotient, gamma(k + 1, m), _diagonal_labels(oq, m)), (k, m)
+
+    def test_closed_form_map_off_by_one_is_rejected(self, monkeypatch):
+        def shifted(oq, m):
+            # φ with its second endpoint one vertex further round.
+            N = (oq.k + 1) * m + 2
+            return {
+                (p, i): normalize_pair((1 + m * p, 3 + m * (p + i)), N)
+                for p, i in oq.quotient.sorted_vertices()
+            }
+
+        for k, m in VERIFY_PINNING_PAIRS:
+            oq = orbit_quiver(k, 1, m)
+            assert not check_iso(oq.quotient, gamma(k + 1, m), shifted(oq, m)), (k, m)
+        monkeypatch.setattr(quiverkit.verify, "_diagonal_labels", shifted)
+        assert check_orbit_model_pinning() == (
+            False, "orbit_quiver(1,1,1) is not gamma(2,1)"
+        )
 
     def test_pure_translation_quotient_is_a_tube(self):
         oq = orbit_quiver(2, 3, 0)  # tau^-3 on two rows: directed 6-cycle
@@ -382,7 +418,8 @@ class TestNormalFormMatcher:
         )
         report = classify_components(2, 6)
         assert len(report.others) == 6
-        assert calls == {"orbit": 6, "iso": 7}  # one more for the principal
+        # None for the principal, which is compared with gamma(2, 6) by equality.
+        assert calls == {"orbit": 6, "iso": 6}
 
     def test_duplicate_matches_of_one_automorphism(self):
         # tau^-9 ∘ [4] and tau^-13 ∘ [2] are both tau^-17 on three rows.

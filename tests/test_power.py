@@ -19,6 +19,7 @@ from quiverkit import (
     sectional_paths,
     validate_translation_quiver,
 )
+from quiverkit.verify import _theorem_pairs
 
 
 def brute_sectional_count(tq, src, tgt, length):
@@ -160,17 +161,33 @@ class TestPrincipalComponent:
             comp = principal_component(n, m)
             assert iso_translation_quivers(comp, gamma(n, m)) is not None, (n, m)
 
+    def test_equals_gamma_label_for_label(self):
+        # Sectional paths in gamma(n*m, 1) are straight, so the principal
+        # component is gamma(n, m) itself, not merely a copy of it.
+        pairs = _theorem_pairs() + [(40, 1), (46, 1)]
+        assert len(pairs) == 25
+        for n, m in pairs:
+            assert principal_component(n, m) == gamma(n, m), (n, m)
+
     def test_size_cap(self):
         with pytest.raises(SizeCapError):
             principal_component(10, 2, cap=50)
 
     def test_failed_iso_fails_the_sweep_under_optimize(self):
-        # ``python -O`` strips asserts; a failed isomorphism must still fail
-        # the verify sweep there.
+        # ``python -O`` strips asserts; a principal component that is not
+        # gamma(n, m) must still fail the verify sweep there.  The stub
+        # moves one tau pair of the largest power component, which for
+        # (n, m) = (2, 1) is the principal one.
         code = (
             "import importlib\n"
+            "from quiverkit.quiver import TranslationQuiver, split_components\n"
             "power = importlib.import_module('quiverkit.power')\n"
-            "power.iso_translation_quivers = lambda *args, **kwargs: None\n"
+            "def decompose(tq):\n"
+            "    comps = split_components(tq)\n"
+            "    v = comps[0].sorted_vertices()[0]\n"
+            "    moved = TranslationQuiver(comps[0].quiver, {**comps[0].tau, v: v})\n"
+            "    return [moved] + comps[1:]\n"
+            "power.decompose = decompose\n"
             "from quiverkit.verify import check_power_theorem_sweep\n"
             "print(*check_power_theorem_sweep())\n"
         )

@@ -358,6 +358,11 @@ class TestIsomorphism:
         # gamma(45, 1) has 1034 vertices, more than the default recursion
         # limit allows frames.
         assert sys.getrecursionlimit() < 1034
+        g = gamma(45, 1)
+        other = _relabeled(g, [f"x{i}" for i in range(len(g.vertices))])
+        phi = iso_translation_quivers(g, other)
+        assert len(g.vertices) == 1034
+        assert phi is not None and check_iso(g, other, phi)
         out = tmp_path / "classify.json"
         argv = ["classify", "--n", "45", "--m", "1", "--report", "json", "--out", str(out)]
         assert main(argv) == 0
