@@ -2,8 +2,8 @@
 
 Subcommands: gamma, power, classify, mutate, angulations, orbit, verify.
 Identical inputs produce byte-identical output.  Exit codes: 0 success,
-2 usage error (including an ``--out`` path that cannot be written), 3 size
-cap exceeded, 4 verification failure.
+2 usage error (including an ``--out`` path that cannot be written and a
+non-integer ``QUIVERKIT_CAP``), 3 size cap exceeded, 4 verification failure.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 
+from .config import default_vertex_cap
 from .errors import SizeCapError
 from .export import _dump, components_dot, components_json_dict, to_dot, to_json
 from .mutation import (
@@ -234,6 +235,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        default_vertex_cap()  # a malformed QUIVERKIT_CAP fails every command alike
         return args.fn(args)
     except SizeCapError as exc:
         sys.stderr.write(f"size cap: {exc}\n")

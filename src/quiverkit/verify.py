@@ -141,8 +141,12 @@ def check_power_stability_sweep() -> tuple[bool, str]:
     return True, f"{tried} powers validated, all stable"
 
 
+def _pinning_pairs() -> list[tuple[int, int]]:
+    return [(k, m) for k in range(1, 12) for m in range(1, 13) if (k + 1) * m <= 12]
+
+
 def check_orbit_model_pinning() -> tuple[bool, str]:
-    pairs = [(k, m) for k in range(1, 12) for m in range(1, 13) if (k + 1) * m <= 12]
+    pairs = _pinning_pairs()
     for k, m in pairs:
         oq = orbit_quiver(k, 1, m)
         if not check_iso(oq.quotient, gamma(k + 1, m), _diagonal_labels(oq, m)):

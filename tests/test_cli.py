@@ -95,9 +95,11 @@ class TestClassify:
         assert code == 3
         assert "size cap" in err
 
-    def test_bad_cap_variable_is_a_usage_error(self, capsys, monkeypatch):
+    @pytest.mark.parametrize("argv", [("classify", "--n", "3", "--m", "2"), ("verify",)])
+    def test_bad_cap_variable_is_a_usage_error(self, capsys, monkeypatch, argv):
+        # verify catches every exception per check; the cap is read before it runs.
         monkeypatch.setenv("QUIVERKIT_CAP", "abc")
-        code, out, err = run(capsys, "classify", "--n", "3", "--m", "2")
+        code, out, err = run(capsys, *argv)
         assert code == 2
         assert out == ""
         assert err == "error: QUIVERKIT_CAP must be an integer, got 'abc'\n"

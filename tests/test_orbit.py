@@ -21,12 +21,7 @@ from quiverkit import (
     vertex_key,
 )
 from quiverkit.orbit import _diagonal_labels, _match_component, _normal_forms
-from quiverkit.verify import check_orbit_model_pinning
-
-# The (k, m) that the verify check orbit-model-pinning runs.
-VERIFY_PINNING_PAIRS = [
-    (k, m) for k in range(1, 12) for m in range(1, 13) if (k + 1) * m <= 12
-]
+from quiverkit.verify import _pinning_pairs, check_orbit_model_pinning
 
 
 def window_orbit_count(k, s, r):
@@ -265,8 +260,7 @@ class TestOrbitQuiver:
 
     def test_pinning_against_diagonal_quivers(self):
         # The search stays the oracle for the closed-form map φ.
-        assert len(VERIFY_PINNING_PAIRS) == 23
-        for k, m in VERIFY_PINNING_PAIRS:
+        for k, m in _pinning_pairs():
             quotient, target = orbit_quiver(k, 1, m).quotient, gamma(k + 1, m)
             phi = iso_translation_quivers(quotient, target)
             assert phi is not None and check_iso(quotient, target, phi), (k, m)
@@ -287,7 +281,7 @@ class TestOrbitQuiver:
                 for p, i in oq.quotient.sorted_vertices()
             }
 
-        for k, m in VERIFY_PINNING_PAIRS:
+        for k, m in _pinning_pairs():
             oq = orbit_quiver(k, 1, m)
             assert not check_iso(oq.quotient, gamma(k + 1, m), shifted(oq, m)), (k, m)
         monkeypatch.setattr(quiverkit.verify, "_diagonal_labels", shifted)

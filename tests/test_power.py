@@ -157,11 +157,6 @@ class TestPrincipalComponent:
         assert comp.arrows == gamma(4, 1).arrows
 
     def test_theorem_sweep_small(self):
-        for n, m in ((2, 2), (3, 3), (5, 2), (6, 2), (4, 3), (2, 5)):
-            comp = principal_component(n, m)
-            assert iso_translation_quivers(comp, gamma(n, m)) is not None, (n, m)
-
-    def test_equals_gamma_label_for_label(self):
         # Sectional paths in gamma(n*m, 1) are straight, so the principal
         # component is gamma(n, m) itself, not merely a copy of it.
         pairs = _theorem_pairs() + [(40, 1), (46, 1)]
