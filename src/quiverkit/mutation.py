@@ -1,9 +1,9 @@
 """Seeds, matrix mutation, and cluster-variable enumeration.
 
 A seed couples a tuple of rational functions in u_1..u_n (the cluster)
-with a square integer exchange matrix whose (i, j) and (j, i) entries
-carry opposite signs.  Mutation in direction k replaces the k-th cluster
-entry via the exchange relation
+with a square integer exchange matrix, a tuple of row tuples of Python
+ints, whose (i, j) and (j, i) entries carry opposite signs.  Mutation in
+direction k replaces the k-th cluster entry via the exchange relation
 
     x_k * x_k' = prod_{M[i,k] > 0} x_i^M[i,k] + prod_{M[i,k] < 0} x_i^-M[i,k]
 
@@ -29,11 +29,12 @@ from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
 import sympy as sp
 from sympy.polys.fields import FracElement, FracField
 from sympy.polys.orderings import grlex
 from sympy.polys.rings import PolyElement
+
+from .polygon import gamma
 
 
 def variables(n: int) -> tuple[sp.Symbol, ...]:
@@ -99,9 +100,6 @@ class LaurentFraction:
     @property
     def denominator(self) -> PolyElement:
         return self._f.denom
-
-    def as_expr(self) -> sp.Expr:
-        return self._f.as_expr()
 
     def _operand(self, other):
         if isinstance(other, LaurentFraction):
@@ -182,43 +180,54 @@ def initial_cluster(n: int) -> tuple[LaurentFraction, ...]:
     return tuple(LaurentFraction(g) for g in _field(n).gens)
 
 
+_INT64 = range(-(2**63), 2**63)
+
+
+def _sign(x: int) -> int:
+    return (x > 0) - (x < 0)
+
+
 class ExchangeMatrix:
     """Square integer matrix driving the exchange relation.
 
-    The matrix must be square and non-empty with entries integers within
-    int64, else ``ValueError``.
-    Construction does not require sign-skew-symmetry (mutation can leave
-    that class); call :meth:`validate` to enforce it at boundaries.
+    Stored as a tuple of row tuples of Python ``int``.  Entries must be
+    integers (not ``bool``) within int64 and the matrix square and
+    non-empty, else ``ValueError``: Python ints cannot overflow, but the
+    bound stays as validation of outside input (``mutate --matrix``) and
+    of mutation results.  Construction does not require sign-skew-symmetry
+    (mutation can leave that class); call :meth:`validate` to enforce it.
     """
 
     __slots__ = ("_m",)
 
     def __init__(self, rows):
-        # Floats, ints beyond int64 and non-numbers infer a float, object
-        # or string dtype; casting those to int64 would truncate or raise.
-        # An empty array has no entries but a float dtype, so it skips this.
-        a = np.array(rows)
-        if a.size and a.dtype.kind != "i":
-            raise ValueError("exchange matrix entries must be integers within int64")
-        if a.ndim != 2 or a.shape[0] != a.shape[1] or not a.size:
+        # Entries first, at any depth, then the shape: nested lists of
+        # integers that are ragged, 1-D or 3-D are not square.
+        seqs, stack = (list, tuple), [rows]
+        while stack:
+            x = stack.pop()
+            if isinstance(x, seqs):
+                stack.extend(x)
+            elif type(x) is not int or x not in _INT64:
+                raise ValueError("exchange matrix entries must be integers within int64")
+        n = len(rows) if isinstance(rows, seqs) else 0
+        if not n or not all(
+            isinstance(r, seqs) and len(r) == n and not any(isinstance(x, seqs) for x in r)
+            for r in rows
+        ):
             raise ValueError("exchange matrix must be square and non-empty")
-        a = a.astype(np.int64, copy=False)
-        a.setflags(write=False)
-        self._m = a
+        self._m = tuple(tuple(r) for r in rows)
 
     @property
     def n(self) -> int:
-        return self._m.shape[0]
-
-    @property
-    def array(self) -> np.ndarray:
-        return self._m
+        return len(self._m)
 
     def rows(self) -> list[list[int]]:
-        return [[int(x) for x in row] for row in self._m]
+        return [list(row) for row in self._m]
 
     def is_sign_skew_symmetric(self) -> bool:
-        return bool((np.sign(self._m) == -np.sign(self._m.T)).all())
+        m = self._m
+        return all(_sign(x) == -_sign(m[j][i]) for i, r in enumerate(m) for j, x in enumerate(r))
 
     def validate(self) -> "ExchangeMatrix":
         if not self.is_sign_skew_symmetric():
@@ -229,22 +238,19 @@ class ExchangeMatrix:
         return self
 
     def permuted(self, perm: tuple[int, ...]) -> "ExchangeMatrix":
-        idx = np.array(perm)
-        return ExchangeMatrix(self._m[np.ix_(idx, idx)])
-
-    def key(self) -> bytes:
-        return self._m.tobytes()
+        return ExchangeMatrix([[self._m[i][j] for j in perm] for i in perm])
 
     def __getitem__(self, ij) -> int:
-        return int(self._m[ij])
+        i, j = ij
+        return self._m[i][j]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ExchangeMatrix):
             return NotImplemented
-        return self.n == other.n and (self._m == other._m).all()
+        return self._m == other._m
 
     def __hash__(self) -> int:
-        return hash((self.n, self.key()))
+        return hash(self._m)
 
     def __repr__(self) -> str:
         return f"ExchangeMatrix({self.rows()!r})"
@@ -252,34 +258,24 @@ class ExchangeMatrix:
 
 def a_path_matrix(n: int) -> ExchangeMatrix:
     """Exchange matrix of the linearly oriented path on n vertices."""
-    m = np.zeros((n, n), dtype=np.int64)
-    for i in range(n - 1):
-        m[i, i + 1] = 1
-        m[i + 1, i] = -1
-    return ExchangeMatrix(m)
+    return ExchangeMatrix([[(j == i + 1) - (j == i - 1) for j in range(n)] for i in range(n)])
 
 
 def mutate_matrix(M: ExchangeMatrix, k: int) -> ExchangeMatrix:
     """Matrix mutation in direction k (1-based); an involution.
 
-    Entries in row/column k flip sign; any other entry picks up
-    (|M[i,k]| * M[k,j] + M[i,k] * |M[k,j]|) / 2, which is an exact
-    integer (each summand pair is equal or cancels).  The arithmetic runs
-    on Python integers, so it cannot wrap; a result entry outside int64
-    raises ``ValueError``.
+    Entries in row/column k flip sign; any other entry M[i,j] picks up
+    sgn(M[i,k]) * max(M[i,k] * M[k,j], 0) (Fomin-Zelevinsky).  The
+    arithmetic runs on Python integers, so it cannot wrap; a result entry
+    outside int64 raises ``ValueError``.
     """
     if not 1 <= k <= M.n:
         raise IndexError(f"direction {k} out of range 1..{M.n}")
-    a = M.array.astype(object)
-    i = k - 1
-    col = a[:, i]
-    row = a[i, :]
-    bump = np.abs(col)[:, None] * row[None, :] + col[:, None] * np.abs(row)[None, :]
-    assert not (bump % 2).any(), "mutation increment must be even"
-    b = a + bump // 2
-    b[i, :] = -a[i, :]
-    b[:, i] = -a[:, i]
-    return ExchangeMatrix(b.tolist())
+    c, m = k - 1, M._m
+    return ExchangeMatrix(
+        [[-x if c in (i, j) else x + _sign(r[c]) * max(r[c] * m[c][j], 0) for j, x in enumerate(r)]
+         for i, r in enumerate(m)]
+    )
 
 
 @dataclass(frozen=True)
@@ -336,7 +332,7 @@ def _canonical_seed_key(seed: Seed) -> tuple:
     order = sorted(range(len(keys)), key=lambda i: keys[i])
     return (
         tuple(keys[i] for i in order),
-        seed.matrix.permuted(tuple(order)).key(),
+        seed.matrix.permuted(tuple(order)),
     )
 
 
@@ -393,9 +389,7 @@ def counting_check(n: int) -> bool:
         raise ValueError(f"need n >= 1, got n={n}")
     if n > 6:
         raise ValueError("counting check is a desk-scale operation (n <= 6)")
-    from .polygon import gamma as _gamma
-
     closure = enumerate_cluster_variables(a_path_matrix(n))
     if closure.cap_reached:
         return False
-    return len(closure.variables) == len(_gamma(n + 1, 1).vertices)
+    return len(closure.variables) == len(gamma(n + 1, 1).vertices)

@@ -3,11 +3,16 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import quiverkit
 from quiverkit.cli import main
 
 
@@ -155,6 +160,55 @@ class TestMutate:
         assert code == 2
         assert out == ""
         assert "must be square" in err
+
+    @pytest.mark.parametrize(
+        "matrix, message",
+        [
+            ("5", "must be square"),
+            ("[1,2]", "must be square"),
+            ("null", "integers within int64"),
+            ('"ab"', "integers within int64"),
+            ("[[0,1],[-1,0],[0,0]]", "must be square"),
+            ("[[0,1,2],[-1,0]]", "must be square"),
+            ("[[[0]]]", "must be square"),
+            ("[[0,true],[-1,0]]", "integers within int64"),
+            ("[[false,true],[true,false]]", "integers within int64"),
+        ],
+    )
+    def test_malformed_matrix_is_a_usage_error(self, capsys, matrix, message):
+        code, out, err = run(capsys, "mutate", "--matrix", matrix)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: exchange matrix ") and message in err
+        assert err.count("\n") == 1
+
+
+_DEPENDENCY_PROBE = """
+import contextlib, io, sys
+before = {name.split(".")[0] for name in sys.modules}
+from quiverkit.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(["mutate", "--enumerate", "--matrix", "[[0,1,0],[-1,0,1],[0,-1,0]]"]) == 0
+    assert main(["verify", "--only", "mutation"]) == 0
+loaded = {name.split(".")[0] for name in sys.modules} - before - set(sys.stdlib_module_names)
+print(" ".join(sorted(loaded)))
+"""
+
+
+def test_mutate_and_verify_load_only_declared_dependencies():
+    # A fresh interpreter, as this test process has loaded the test tools.
+    # sympy brings mpmath, and gmpy2 when it is installed.
+    src = str(Path(quiverkit.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _DEPENDENCY_PROBE],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert set(proc.stdout.split()) <= {"quiverkit", "sympy", "mpmath", "gmpy2"}, proc.stdout
 
 
 class TestAngulations:

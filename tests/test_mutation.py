@@ -3,7 +3,6 @@
 from fractions import Fraction
 from math import comb
 
-import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -63,27 +62,27 @@ sign_skew_entries = st.tuples(st.integers(1, 4), st.integers(1, 4), st.booleans(
 @st.composite
 def sign_skew_matrices(draw, max_n=5):
     n = draw(st.integers(1, max_n))
-    m = np.zeros((n, n), dtype=np.int64)
+    m = [[0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
             if draw(st.booleans()):
                 continue
             a, b, flip = draw(sign_skew_entries)
             if flip:
-                m[i, j], m[j, i] = a, -b
+                m[i][j], m[j][i] = a, -b
             else:
-                m[i, j], m[j, i] = -a, b
+                m[i][j], m[j][i] = -a, b
     return ExchangeMatrix(m)
 
 
 @st.composite
 def skew_symmetric_matrices(draw, max_n=5):
     n = draw(st.integers(1, max_n))
-    m = np.zeros((n, n), dtype=np.int64)
+    m = [[0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
             v = draw(st.integers(-3, 3))
-            m[i, j], m[j, i] = v, -v
+            m[i][j], m[j][i] = v, -v
     return ExchangeMatrix(m)
 
 
@@ -92,11 +91,11 @@ def skew_symmetrizable_matrices(draw, max_n=4):
     """B[i][j] = S[i][j] * d[j], S skew-symmetric in {-1, 0, 1}, d_i in {1, 2}."""
     n = draw(st.integers(1, max_n))
     d = draw(st.lists(st.integers(1, 2), min_size=n, max_size=n))
-    m = np.zeros((n, n), dtype=np.int64)
+    m = [[0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
             s = draw(st.integers(-1, 1))
-            m[i, j], m[j, i] = s * d[j], -s * d[i]
+            m[i][j], m[j][i] = s * d[j], -s * d[i]
     return ExchangeMatrix(m)
 
 
@@ -135,9 +134,26 @@ class TestMatrixMutation:
     @settings(max_examples=80, deadline=None)
     def test_skew_symmetric_matrices_stay_skew_symmetric(self, M):
         for k in range(1, M.n + 1):
-            out = mutate_matrix(M, k).array
-            assert (out == -out.T).all()
+            out = mutate_matrix(M, k).rows()
+            assert all(out[i][j] == -out[j][i] for i in range(M.n) for j in range(M.n))
             assert mutate_matrix(M, k).is_sign_skew_symmetric()
+
+    @given(M=st.one_of(sign_skew_matrices(), skew_symmetrizable_matrices()))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_textbook_formula(self, M):
+        # b'_ij = b_ij + (|b_ik| * b_kj + b_ik * |b_kj|) / 2 off row and column k.
+        b = M.rows()
+        for k in range(1, M.n + 1):
+            c = k - 1
+            expected = [
+                [
+                    -b[i][j] if c in (i, j)
+                    else b[i][j] + Fraction(abs(b[i][c]) * b[c][j] + b[i][c] * abs(b[c][j]), 2)
+                    for j in range(M.n)
+                ]
+                for i in range(M.n)
+            ]
+            assert mutate_matrix(M, k).rows() == expected
 
     def test_sign_skew_symmetry_is_not_preserved_in_general(self):
         # Mutation leaves the sign-skew-symmetric class here: entries
@@ -166,7 +182,7 @@ class TestMatrixMutation:
         with pytest.raises(ValueError):
             ExchangeMatrix([[0, 1, 0], [-1, 0, 0]])
         with pytest.raises(ValueError, match="must be square"):
-            ExchangeMatrix(np.zeros((0, 0), dtype=np.int64))
+            ExchangeMatrix([])
         assert a_path_matrix(4).validate() is not None
 
 
