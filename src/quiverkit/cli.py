@@ -99,6 +99,8 @@ def _cmd_mutate(args) -> int:
         rows = json.loads(args.matrix)
     except json.JSONDecodeError as exc:
         raise ValueError(f"--matrix is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ValueError("--matrix is nested too deeply to parse") from exc
     M = ExchangeMatrix(rows).validate()
     payload: dict = {"schema": SCHEMA, "matrix": M.rows()}
     if args.enumerate:

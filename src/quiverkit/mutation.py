@@ -17,10 +17,15 @@ skew-symmetrizable ones), and the involution property holds regardless.
 Use :meth:`ExchangeMatrix.validate` where the invariant is required.
 
 Cluster entries are elements of sympy's sparse rational-function field
-ZZ(u_1, ..., u_n) in graded-lexicographic order, one field per n.  The
-field cancels every result to coprime numerator and denominator with a
+ZZ(u_1, ..., u_n) in graded-lexicographic order, one field per n, kept in
+the field's canonical form: coprime numerator and denominator with a
 positive grlex-leading denominator coefficient, so equality, hashing and
-rendering all see one canonical form.
+rendering all see one form.  Every cluster variable of a
+skew-symmetrizable seed is a Laurent polynomial f / u^d (Fomin-Zelevinsky's
+Laurent phenomenon), so the exchange division is done exactly in
+ZZ[u_1, ..., u_n] with monomial bookkeeping and no gcd; the field's own
+cancelling division is the fallback for every other case, including the
+non-Laurent entries that other sign-skew-symmetric seeds reach.
 """
 
 from __future__ import annotations
@@ -32,6 +37,7 @@ from functools import lru_cache
 import sympy as sp
 from sympy.polys.fields import FracElement, FracField
 from sympy.polys.orderings import grlex
+from sympy.polys.polyerrors import ExactQuotientFailed
 from sympy.polys.rings import PolyElement
 
 from .polygon import gamma
@@ -71,13 +77,54 @@ def _poly_str(poly: PolyElement) -> str:
     return " ".join(pieces) or "0"
 
 
+def _split_monomial(poly: PolyElement) -> tuple[tuple[int, ...], PolyElement]:
+    """``(e, q)`` with ``poly = u^e * q`` and no u_i dividing ``q``; poly is nonzero."""
+    e = tuple(map(min, zip(*poly)))
+    if not any(e):
+        return e, poly
+    return e, poly.new([(tuple(a - b for a, b in zip(m, e)), c) for m, c in poly.items()])
+
+
+def _laurent_quotient(f: FracElement, g: FracElement) -> FracElement | None:
+    """``f / g`` in canonical form without a gcd, or None if this path cannot decide it.
+
+    It decides it when f is nonzero and both denominators are monomials
+    u^a with coefficient 1, as every Laurent cluster variable's is.  Writing
+    f = p / u^a and g = u^c * r / u^b with no u_i dividing r, the quotient
+    is p * u^b / (r * u^(a+c)): exact division p / r = u^e * q leaves
+    q * u^(b+e-a-c).  Its parts q * u^(net+) and u^(net-) are coprime and
+    the denominator is a monomial with coefficient +1, which is the field's
+    canonical form.  None when r does not divide p (the quotient is then
+    not a Laurent polynomial) or when the denominators are not such
+    monomials.
+    """
+    fd, gd = f.denom, g.denom
+    if not f.numer or len(fd) != 1 or len(gd) != 1 or fd.LC != 1 or gd.LC != 1:
+        return None
+    c, r = _split_monomial(g.numer)
+    try:
+        q = f.numer.exquo(r)
+    except ExactQuotientFailed:
+        return None
+    e, q = _split_monomial(q)
+    net = [b + e_i - a - c_i for a, b, c_i, e_i in zip(fd.LM, gd.LM, c, e)]
+    num = q.mul_monom(tuple(max(x, 0) for x in net))
+    den = q.ring.one.mul_monom(tuple(max(-x, 0) for x in net))
+    return f.field.raw_new(num, den)
+
+
 class LaurentFraction:
     """A reduced ratio of integer polynomials in u_1..u_n.
 
     A thin wrapper around one element of ``_field(n)``; construct via
-    :meth:`from_expr` or :func:`initial_cluster`.  Arithmetic is the
-    field's own, which cancels after every operation, so equal values
-    always compare (and hash) equal.
+    :meth:`from_expr` or :func:`initial_cluster`.  Every value is kept in
+    the field's canonical form, so equal values always compare (and hash)
+    equal.  Addition, multiplication and powers are the field's own.
+    Division of two Laurent polynomials (monomial denominators) is exact
+    division of polynomials with the monomial parts moved into the
+    exponents, and runs no gcd; any other division, and one whose exact
+    division fails (the result is then not Laurent), is the field's
+    cancelling division.
     """
 
     __slots__ = ("_f",)
@@ -132,6 +179,10 @@ class LaurentFraction:
             return NotImplemented
         if not other:
             raise ZeroDivisionError("division by the zero fraction")
+        if isinstance(other, FracElement):
+            quotient = _laurent_quotient(self._f, other)
+            if quotient is not None:
+                return LaurentFraction(quotient)
         return LaurentFraction(self._f / other)
 
     def __pow__(self, exponent: int):
@@ -218,6 +269,13 @@ class ExchangeMatrix:
             raise ValueError("exchange matrix must be square and non-empty")
         self._m = tuple(tuple(r) for r in rows)
 
+    @classmethod
+    def _from_rows(cls, rows: tuple[tuple[int, ...], ...]) -> "ExchangeMatrix":
+        """Wrap rows already known to be a valid square matrix, unchecked."""
+        M = object.__new__(cls)
+        M._m = rows
+        return M
+
     @property
     def n(self) -> int:
         return len(self._m)
@@ -238,7 +296,8 @@ class ExchangeMatrix:
         return self
 
     def permuted(self, perm: tuple[int, ...]) -> "ExchangeMatrix":
-        return ExchangeMatrix([[self._m[i][j] for j in perm] for i in perm])
+        m = self._m
+        return ExchangeMatrix._from_rows(tuple(tuple(m[i][j] for j in perm) for i in perm))
 
     def __getitem__(self, ij) -> int:
         i, j = ij
@@ -272,10 +331,16 @@ def mutate_matrix(M: ExchangeMatrix, k: int) -> ExchangeMatrix:
     if not 1 <= k <= M.n:
         raise IndexError(f"direction {k} out of range 1..{M.n}")
     c, m = k - 1, M._m
-    return ExchangeMatrix(
-        [[-x if c in (i, j) else x + _sign(r[c]) * max(r[c] * m[c][j], 0) for j, x in enumerate(r)]
-         for i, r in enumerate(m)]
+    rows = tuple(
+        tuple(
+            -x if c in (i, j) else x + _sign(r[c]) * max(r[c] * m[c][j], 0)
+            for j, x in enumerate(r)
+        )
+        for i, r in enumerate(m)
     )
+    if min(map(min, rows)) < _INT64.start or max(map(max, rows)) >= _INT64.stop:
+        raise ValueError("exchange matrix entries must be integers within int64")
+    return ExchangeMatrix._from_rows(rows)
 
 
 @dataclass(frozen=True)

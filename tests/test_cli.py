@@ -182,6 +182,14 @@ class TestMutate:
         assert err.startswith("error: exchange matrix ") and message in err
         assert err.count("\n") == 1
 
+    def test_deeply_nested_matrix_is_a_usage_error(self, capsys):
+        # json.loads raises RecursionError past the interpreter's depth limit.
+        code, out, err = run(capsys, "mutate", "--matrix", "[" * 5000 + "]" * 5000)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: --matrix ")
+        assert err.count("\n") == 1
+
 
 _DEPENDENCY_PROBE = """
 import contextlib, io, sys

@@ -210,6 +210,24 @@ class TestLaurentFraction:
         assert lf("0").render() == "0"
         assert (x + (-1) * x).render() == "0"
 
+    @pytest.mark.parametrize(
+        "x, y, quotient",
+        [
+            ("(u_1^2 + u_1)/u_2", "u_1*u_2", "(u_1 + 1)/u_2^2"),
+            ("u_2^3", "-2*u_2", "-u_2^2/2"),
+            ("u_2", "u_1 + 1", "u_2/(u_1 + 1)"),
+            ("u_1*(u_1 + 1)/(u_2 + 1)", "u_1 + 1", "u_1/(u_2 + 1)"),
+            ("u_1", "u_1/(u_2 + 1)", "u_2 + 1"),
+            ("u_1^2/(2*u_2)", "u_1", "u_1/(2*u_2)"),
+            ("0", "u_1", "0"),
+        ],
+    )
+    def test_division(self, x, y, quotient):
+        # Exact Laurent division, a failed one, and operands outside its reach.
+        got = lf(x) / lf(y)
+        assert got == lf(quotient)
+        assert got.render() == lf(quotient).render()
+
     def test_zero_denominator(self):
         with pytest.raises(ZeroDivisionError):
             lf("u_1") / lf("0")
@@ -347,6 +365,22 @@ class TestFiniteTypeCounts:
                 id="D_5",
             ),
             pytest.param(
+                exchange(
+                    6, (1, 2, 1, 1), (2, 3, 1, 1), (3, 4, 1, 1), (4, 5, 1, 1), (4, 6, 1, 1)
+                ),
+                36,
+                672,
+                id="D_6",
+            ),
+            pytest.param(
+                exchange(
+                    6, (1, 2, 1, 1), (2, 3, 1, 1), (3, 4, 1, 1), (4, 5, 1, 1), (3, 6, 1, 1)
+                ),
+                42,
+                833,
+                id="E_6",
+            ),
+            pytest.param(
                 exchange(4, (1, 2, 1, 1), (2, 3, 1, 2), (3, 4, 1, 1)), 28, 105, id="F_4"
             ),
             pytest.param(exchange(2, (1, 2, 1, 3)), 8, 8, id="G_2"),
@@ -364,7 +398,31 @@ class TestFiniteTypeCounts:
         assert all(x.is_laurent() for x in res.variables)
 
 
+def mutate_against_the_field(seed, k):
+    """``mutate_seed(seed, k)``, its new entry checked against the same exchange
+    computed on the raw field elements by the field's own cancelling division."""
+    col = k - 1
+    pos = neg = seed.cluster[col]._f.field.one
+    for i, x in enumerate(seed.cluster):
+        e = seed.matrix[i, col]
+        if e > 0:
+            pos *= x._f**e
+        elif e < 0:
+            neg *= x._f ** (-e)
+    expected = LaurentFraction((pos + neg) / seed.cluster[col]._f)
+    out = mutate_seed(seed, k)
+    got = out.cluster[col]
+    assert got == expected
+    assert hash(got) == hash(expected)
+    assert got.render() == expected.render()
+    assert got.sort_key() == expected.sort_key()
+    return out
+
+
 class TestLaurentPhenomenon:
+    """The exchange step divides exactly when both sides are Laurent; the
+    field's division is the oracle, so ``is_laurent`` is not a tautology."""
+
     @given(M=skew_symmetrizable_matrices(), data=st.data())
     @settings(max_examples=100, deadline=None)
     def test_short_walks_stay_laurent(self, M, data):
@@ -373,10 +431,18 @@ class TestLaurentPhenomenon:
         walk = data.draw(st.lists(st.integers(1, M.n), max_size=3))
         seed = initial_seed(M)
         for k in walk:
-            seed = mutate_seed(seed, k)
+            seed = mutate_against_the_field(seed, k)
             assert all(x.is_laurent() for x in seed.cluster)
             # Pairwise distinct entries: the seed key's sort is unique.
             assert len({x.sort_key() for x in seed.cluster}) == M.n
+
+    def test_non_laurent_walk_matches_the_field(self):
+        # Step 5 leaves the Laurent polynomials (its exact division fails);
+        # step 6 then divides by an entry with a non-monomial denominator.
+        seed = initial_seed(ExchangeMatrix([[0, 1, -1], [-2, 0, 1], [1, -3, 0]]))
+        for k in (1, 2, 1, 3, 2, 3):
+            seed = mutate_against_the_field(seed, k)
+        assert [x.is_laurent() for x in seed.cluster] == [True, False, False]
 
 
 class TestCounting:
