@@ -4,6 +4,8 @@ Subcommands: gamma, power, classify, mutate, angulations, orbit, verify.
 Identical inputs produce byte-identical output.  Exit codes: 0 success,
 2 usage error (including an ``--out`` path that cannot be written and a
 non-integer ``QUIVERKIT_CAP``), 3 size cap exceeded, 4 verification failure.
+sympy is imported on first use of a mutation field, so only ``mutate``, and
+the ``verify`` checks that mutate, load it.
 """
 
 from __future__ import annotations
@@ -114,9 +116,12 @@ def _cmd_mutate(args) -> int:
             }
         )
     else:
-        steps = []
-        if args.steps:
+        try:
             steps = [int(tok) for tok in args.steps.replace(" ", "").split(",") if tok]
+        except ValueError:
+            raise ValueError(
+                f"--steps must be comma-separated integers, got {args.steps!r}"
+            ) from None
         seed = initial_seed(M)
         for k in steps:
             seed = mutate_seed(seed, k)

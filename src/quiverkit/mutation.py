@@ -25,7 +25,10 @@ skew-symmetrizable seed is a Laurent polynomial f / u^d (Fomin-Zelevinsky's
 Laurent phenomenon), so the exchange division is done exactly in
 ZZ[u_1, ..., u_n] with monomial bookkeeping and no gcd; the field's own
 cancelling division is the fallback for every other case, including the
-non-Laurent entries that other sign-skew-symmetric seeds reach.
+non-Laurent entries that other sign-skew-symmetric seeds reach.  sympy is
+imported when a field is first built (:func:`variables`, ``_field``), not
+when this module loads, so only ``mutate`` and the ``verify`` checks that
+mutate load it.
 """
 
 from __future__ import annotations
@@ -33,24 +36,30 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
-
-import sympy as sp
-from sympy.polys.fields import FracElement, FracField
-from sympy.polys.orderings import grlex
-from sympy.polys.polyerrors import ExactQuotientFailed
-from sympy.polys.rings import PolyElement
+from typing import TYPE_CHECKING
 
 from .polygon import gamma
+
+if TYPE_CHECKING:
+    import sympy as sp
+    from sympy.polys.fields import FracElement, FracField
+    from sympy.polys.rings import PolyElement
 
 
 def variables(n: int) -> tuple[sp.Symbol, ...]:
     """The ambient symbols u_1 .. u_n."""
+    import sympy as sp
+
     return tuple(sp.Symbol(f"u_{i}") for i in range(1, n + 1))
 
 
 @lru_cache(maxsize=None)
 def _field(n: int) -> FracField:
     """The field ZZ(u_1, ..., u_n), grlex-ordered, built once per n."""
+    import sympy as sp
+    from sympy.polys.fields import FracField
+    from sympy.polys.orderings import grlex
+
     return FracField(variables(n), sp.ZZ, grlex)
 
 
@@ -94,17 +103,17 @@ def _laurent_quotient(f: FracElement, g: FracElement) -> FracElement | None:
     is p * u^b / (r * u^(a+c)): exact division p / r = u^e * q leaves
     q * u^(b+e-a-c).  Its parts q * u^(net+) and u^(net-) are coprime and
     the denominator is a monomial with coefficient +1, which is the field's
-    canonical form.  None when r does not divide p (the quotient is then
-    not a Laurent polynomial) or when the denominators are not such
-    monomials.
+    canonical form.  Polynomial division ``p.div(r)`` gives q and a
+    remainder; None when that remainder is nonzero (r does not divide p,
+    so the quotient is not a Laurent polynomial) or when the denominators
+    are not such monomials.
     """
     fd, gd = f.denom, g.denom
     if not f.numer or len(fd) != 1 or len(gd) != 1 or fd.LC != 1 or gd.LC != 1:
         return None
     c, r = _split_monomial(g.numer)
-    try:
-        q = f.numer.exquo(r)
-    except ExactQuotientFailed:
+    q, rem = f.numer.div(r)
+    if rem:
         return None
     e, q = _split_monomial(q)
     net = [b + e_i - a - c_i for a, b, c_i, e_i in zip(fd.LM, gd.LM, c, e)]
@@ -179,7 +188,7 @@ class LaurentFraction:
             return NotImplemented
         if not other:
             raise ZeroDivisionError("division by the zero fraction")
-        if isinstance(other, FracElement):
+        if not isinstance(other, int):
             quotient = _laurent_quotient(self._f, other)
             if quotient is not None:
                 return LaurentFraction(quotient)

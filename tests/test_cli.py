@@ -190,6 +190,14 @@ class TestMutate:
         assert err.startswith("error: --matrix ")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("steps", ["x", "1,x", "1.5", "1,,2;3"])
+    def test_non_integer_steps_are_usage_errors(self, capsys, steps):
+        code, out, err = run(capsys, "mutate", "--matrix", "[[0]]", "--steps", steps)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: --steps ") and "int()" not in err
+        assert err.count("\n") == 1
+
 
 _DEPENDENCY_PROBE = """
 import contextlib, io, sys
@@ -203,20 +211,54 @@ print(" ".join(sorted(loaded)))
 """
 
 
-def test_mutate_and_verify_load_only_declared_dependencies():
-    # A fresh interpreter, as this test process has loaded the test tools.
-    # sympy brings mpmath, and gmpy2 when it is installed.
+def _fresh_python(code, *argv):
+    """Run ``code`` in a fresh interpreter, as this test process has loaded
+    the test tools."""
     src = str(Path(quiverkit.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", _DEPENDENCY_PROBE],
+    return subprocess.run(
+        [sys.executable, "-c", code, *argv],
         env={**os.environ, "PYTHONPATH": path},
         capture_output=True,
         text=True,
         timeout=120,
     )
+
+
+def test_mutate_and_verify_load_only_declared_dependencies():
+    # sympy brings mpmath, and gmpy2 when it is installed.
+    proc = _fresh_python(_DEPENDENCY_PROBE)
     assert proc.returncode == 0, proc.stderr
     assert set(proc.stdout.split()) <= {"quiverkit", "sympy", "mpmath", "gmpy2"}, proc.stdout
+
+
+_SYMPY_PROBE = """
+import contextlib, io, sys
+from quiverkit.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(sys.argv[1:]) == 0
+print("sympy" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, loads_sympy",
+    [
+        (["gamma", "--n", "4"], False),
+        (["power", "--n", "4", "--m", "2", "--components"], False),
+        (["classify", "--n", "4", "--m", "3"], False),
+        (["orbit", "--k", "3", "--s", "0", "--r", "1"], False),
+        (["angulations", "--n", "4", "--m", "2"], False),
+        (["mutate", "--enumerate", "--matrix", "[[0,1],[-1,0]]"], True),
+    ],
+    ids=lambda v: v[0] if isinstance(v, list) else None,
+)
+def test_only_mutation_loads_sympy(argv, loads_sympy):
+    # sympy is imported when a mutation field is first built, not when the
+    # package loads.
+    proc = _fresh_python(_SYMPY_PROBE, *argv)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [str(loads_sympy)]
 
 
 class TestAngulations:

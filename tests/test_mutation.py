@@ -220,17 +220,22 @@ class TestLaurentFraction:
             ("u_1", "u_1/(u_2 + 1)", "u_2 + 1"),
             ("u_1^2/(2*u_2)", "u_1", "u_1/(2*u_2)"),
             ("0", "u_1", "0"),
+            ("u_1 + 1", 2, "(u_1 + 1)/2"),
+            ("u_1/u_2", -3, "-u_1/(3*u_2)"),
         ],
     )
     def test_division(self, x, y, quotient):
-        # Exact Laurent division, a failed one, and operands outside its reach.
-        got = lf(x) / lf(y)
+        # Exact Laurent division, a failed one, and operands outside its
+        # reach: a non-monomial denominator, a zero dividend, an int divisor.
+        got = lf(x) / (y if isinstance(y, int) else lf(y))
         assert got == lf(quotient)
         assert got.render() == lf(quotient).render()
 
     def test_zero_denominator(self):
         with pytest.raises(ZeroDivisionError):
             lf("u_1") / lf("0")
+        with pytest.raises(ZeroDivisionError):
+            lf("u_1") / 0
 
     @given(a=poly_dicts, b=poly_dicts, c=poly_dicts)
     @settings(max_examples=60, deadline=None)
