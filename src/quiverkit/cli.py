@@ -16,7 +16,7 @@ import sys
 
 from .config import default_vertex_cap
 from .errors import SizeCapError
-from .export import _dump, components_dot, components_json_dict, to_dot, to_json
+from .export import _dump, angulations_json, components_dot, components_json, to_dot, to_json
 from .mutation import (
     ExchangeMatrix,
     enumerate_cluster_variables,
@@ -55,8 +55,7 @@ def _cmd_power(args) -> int:
         if args.emit == "dot":
             _emit(components_dot(parts), args.out)
         else:
-            payload = components_json_dict(parts, schema=SCHEMA, n=args.n, m=args.m)
-            _emit(_dump(payload), args.out)
+            _emit(components_json(parts, schema=SCHEMA, n=args.n, m=args.m), args.out)
     else:
         if args.emit == "dot":
             _emit(to_dot(tq, name=f"power_{args.n}_{args.m}"), args.out)
@@ -138,14 +137,7 @@ def _cmd_mutate(args) -> int:
 
 def _cmd_angulations(args) -> int:
     found = enumerate_angulations(args.n, args.m, polygon_cap=args.cap)
-    payload = {
-        "schema": SCHEMA,
-        "n": args.n,
-        "m": args.m,
-        "count": len(found),
-        "angulations": [[[i, j] for i, j in coll] for coll in found],
-    }
-    _emit(_dump(payload), args.out)
+    _emit(angulations_json(found, schema=SCHEMA, n=args.n, m=args.m, count=len(found)), args.out)
     return 0
 
 

@@ -1,8 +1,16 @@
-"""Deterministic DOT and JSON rendering of (translation) quivers."""
+"""Deterministic DOT and JSON rendering of (translation) quivers.
+
+Each JSON writer returns exactly ``json.dumps(<dict form>, indent=2) + "\\n"``,
+the dict form of a quiver being :func:`quiver_json_dict` after any extra keys.
+As indenting keeps ``json`` off its C encoder, the writers join the lists from
+labels rendered and escaped once per quiver.  Extra values are dumped and
+indented one level, which is exact: ``json`` puts no raw newline in a string.
+"""
 
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii as _encode
 
 from .quiver import Quiver, TranslationQuiver, vertex_label
 
@@ -26,34 +34,73 @@ def _dump(payload: dict) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
-def to_json(tq: TranslationQuiver | Quiver, **extra) -> str:
+class _Rendered(dict):
+    """Key -> text, rendered at the first lookup of any equal key (vertex or not)."""
+
+    def __init__(self, render):
+        self.render = render
+
+    def __missing__(self, key):
+        return self.setdefault(key, self.render(key))
+
+
+def _join(items: list[str] | dict[str, str], depth: int) -> str:
+    """A JSON array of rendered items, or object of encoded keys and rendered values."""
+    brackets = "[]"
+    if isinstance(items, dict):
+        brackets, items = "{}", [k + ": " + v for k, v in items.items()]
+    if not items:
+        return brackets
+    pad = "\n" + "  " * (depth + 1)
+    return brackets[0] + pad + ("," + pad).join(items) + "\n" + "  " * depth + brackets[1]
+
+
+def _document(extra: dict, members: dict[str, str]) -> str:
+    """JSON text of ``extra`` updated (as by ``dict.update``) by rendered ``members``."""
+    head = {_encode(k): json.dumps(v, indent=2).replace("\n", "\n  ") for k, v in extra.items()}
+    return _join(head | members, 0) + "\n"
+
+
+def _quiver_members(tq: TranslationQuiver | Quiver, depth: int) -> dict[str, str]:
+    """The rendered members of :func:`quiver_json_dict` in an object at ``depth``."""
+    q, tau = (tq, {}) if isinstance(tq, Quiver) else (tq.quiver, tq.tau)
+    lab = _Rendered(lambda v: _encode(vertex_label(v)))
+    arrow = _join(["%s", "%s"], depth + 2)
+    return {
+        '"vertices"': _join([lab[v] for v in q.sorted_vertices()], depth + 1),
+        '"arrows"': _join([arrow % (lab[s], lab[t]) for s, t in q.arrows], depth + 1),
+        # A dict first, so that equal labels collapse as in the dict form.
+        '"tau"': _join({lab[y]: lab[ty] for y, ty in tau.items()}, depth + 1),
+    }
+
+
+def to_json(tq: TranslationQuiver | Quiver, /, **extra) -> str:
     """JSON text with optional extra top-level keys placed first."""
-    payload = dict(extra)
-    payload.update(quiver_json_dict(tq))
-    return _dump(payload)
+    return _document(extra, _quiver_members(tq, 0))
+
+
+def components_json(parts: list[TranslationQuiver], /, **extra) -> str:
+    """JSON text of the extra keys and ``"components"``, one quiver object each."""
+    quivers = [_join(_quiver_members(p, 2), 2) for p in parts]
+    return _document(extra, {'"components"': _join(quivers, 1)})
+
+
+def angulations_json(found: list[tuple[tuple[int, int], ...]], /, **extra) -> str:
+    """JSON text of the extra keys and ``"angulations"``, each a list of ``[i, j]``."""
+    diagonal = _Rendered(lambda d: _join([json.dumps(i) for i in d], 3))
+    angulations = [_join([diagonal[d] for d in coll], 2) for coll in found]
+    return _document(extra, {'"angulations"': _join(angulations, 1)})
 
 
 def to_dot(tq: TranslationQuiver | Quiver, name: str = "quiver") -> str:
     """One digraph; solid arrows, dashed ``tau`` edges from y to tau(y)."""
     q, tau = (tq, {}) if isinstance(tq, Quiver) else (tq.quiver, tq.tau)
+    lab = _Rendered(lambda v: '"' + vertex_label(v) + '"')
     lines = [f"digraph {name} {{"]
-    for v in q.sorted_vertices():
-        lines.append(f'  "{vertex_label(v)}";')
-    for s, t in q.arrows:
-        lines.append(f'  "{vertex_label(s)}" -> "{vertex_label(t)}";')
-    for y, ty in tau.items():
-        lines.append(
-            f'  "{vertex_label(y)}" -> "{vertex_label(ty)}"'
-            ' [style=dashed, label="tau"];'
-        )
-    lines.append("}")
-    return "\n".join(lines) + "\n"
-
-
-def components_json_dict(parts: list[TranslationQuiver], **extra) -> dict:
-    payload = dict(extra)
-    payload["components"] = [quiver_json_dict(p) for p in parts]
-    return payload
+    lines += [f"  {lab[v]};" for v in q.sorted_vertices()]
+    lines += [f"  {lab[s]} -> {lab[t]};" for s, t in q.arrows]
+    lines += [f'  {lab[y]} -> {lab[ty]} [style=dashed, label="tau"];' for y, ty in tau.items()]
+    return "\n".join(lines) + "\n}\n"
 
 
 def components_dot(parts: list[TranslationQuiver]) -> str:

@@ -50,7 +50,7 @@ def vertex_key(v: Vertex):
 def vertex_label(v: Vertex) -> str:
     """Render a vertex for DOT/JSON output, e.g. ``(1,4)``."""
     if isinstance(v, tuple):
-        return "(" + ",".join(str(c) for c in v) + ")"
+        return "(" + ",".join(map(str, v)) + ")"
     return str(v)
 
 

@@ -16,6 +16,9 @@ import quiverkit
 from quiverkit.cli import main
 
 
+ANGULATION_SIZES = [(2, 1), (2, 3), (3, 1), (3, 2), (5, 1)]
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
@@ -261,7 +264,43 @@ def test_only_mutation_loads_sympy(argv, loads_sympy):
     assert proc.stdout.split() == [str(loads_sympy)]
 
 
+A_2 = "[[0,1],[-1,0]]"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("gamma", "--n", "5", "--m", "2"),
+        ("power", "--n", "6", "--m", "3"),
+        ("power", "--n", "6", "--m", "3", "--components"),
+        ("orbit", "--k", "3", "--s", "2", "--r", "1"),
+        *(("angulations", "--n", str(n), "--m", str(m)) for n, m in ANGULATION_SIZES),
+        ("classify", "--n", "3", "--m", "2", "--report", "json"),
+        ("mutate", "--matrix", A_2, "--steps", "1,2"),
+        ("mutate", "--matrix", A_2, "--enumerate"),
+    ],
+)
+def test_json_output_is_canonical(capsys, argv):
+    """Every JSON-emitting subcommand prints ``json.dumps(indent=2)`` of its payload."""
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
 class TestAngulations:
+    @pytest.mark.parametrize("n, m", ANGULATION_SIZES)
+    def test_payload(self, capsys, n, m):
+        found = quiverkit.enumerate_angulations(n, m)
+        payload = {
+            "schema": "quiverkit/1",
+            "n": n,
+            "m": m,
+            "count": len(found),
+            "angulations": [[[i, j] for i, j in coll] for coll in found],
+        }
+        _, out, _ = run(capsys, "angulations", "--n", str(n), "--m", str(m))
+        assert out == json.dumps(payload, indent=2) + "\n"
+
     def test_hexagon_count(self, capsys):
         code, out, _ = run(capsys, "angulations", "--n", "4", "--m", "1")
         payload = json.loads(out)

@@ -34,6 +34,7 @@ from quiverkit import (
     vertex_label,
 )
 from quiverkit.cli import main
+from quiverkit.export import angulations_json, components_json
 
 
 def brute_mesh_violations(tq):
@@ -171,15 +172,25 @@ MIXED_VERTICES = st.one_of(
 )
 
 
+# Vertices whose labels collide ((3,) and "(3)", 3 and "3"), are not
+# ASCII, or hold characters that JSON escapes.
+LABEL_VERTICES = st.one_of(
+    st.integers(2, 4),
+    st.tuples(st.integers(2, 4)),
+    st.sampled_from(["3", "(3)", "(2)", 'say "hi"', "back\\slash", "ünï", "日本", "\t\n", ""]),
+    st.text(max_size=3),
+)
+
+
 @st.composite
-def mixed_translation_quivers(draw):
+def mixed_translation_quivers(draw, vertex_strategy=MIXED_VERTICES):
     """Shuffled vertices, arrows and tau over mixed vertex types.
 
     Arrow and tau endpoints may lie outside the vertex set, and arrows
     repeat (parallel arrows).
     """
-    vertices = draw(st.lists(MIXED_VERTICES, max_size=10, unique=True))
-    ends = st.sampled_from(vertices + draw(st.lists(MIXED_VERTICES, min_size=1, max_size=2)))
+    vertices = draw(st.lists(vertex_strategy, max_size=10, unique=True))
+    ends = st.sampled_from(vertices + draw(st.lists(vertex_strategy, min_size=1, max_size=2)))
     arrows = draw(st.lists(st.tuples(ends, ends), max_size=20))
     arrows = draw(st.permutations(arrows + arrows[: draw(st.integers(0, 3))]))
     tau = dict(draw(st.lists(st.tuples(ends, ends), max_size=8)))
@@ -496,7 +507,50 @@ class TestTauOrbits:
         assert sorted(len(o) for o in tau_orbits(gamma(3, 2))) == [4, 4]
 
 
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-5, 5) | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=2), inner, max_size=3),
+    max_leaves=6,
+)
+# Extra keys may equal the keys the writers add, or their parameters' names.
+WRITER_KEYS = ["vertices", "arrows", "tau", "components", "angulations", "tq", "parts", "found"]
+EXTRAS = st.dictionaries(
+    st.sampled_from(["schema", "n", "count", *WRITER_KEYS]) | st.text(max_size=3),
+    JSON_VALUES,
+    max_size=4,
+)
+ANGULATION_LISTS = st.lists(
+    st.lists(st.tuples(st.integers(1, 12), st.integers(1, 12)), max_size=4).map(tuple), max_size=4
+)
+
+
+def _dumped(payload):
+    return json.dumps(payload, indent=2) + "\n"
+
+
 class TestExport:
+    @given(st.lists(mixed_translation_quivers(LABEL_VERTICES), max_size=3), EXTRAS, ANGULATION_LISTS)
+    @settings(max_examples=300, deadline=None)
+    def test_writers_equal_json_dumps_of_the_dict_form(self, quivers, extra, found):
+        parts = [TranslationQuiver(Quiver(vs, arrows), tau) for vs, arrows, tau in quivers]
+        for tq in parts + [p.quiver for p in parts]:
+            assert to_json(tq, **extra) == _dumped({**extra, **quiver_json_dict(tq)})
+            tau = tq.tau.items() if isinstance(tq, TranslationQuiver) else []
+            assert to_dot(tq) == _reference_dot(tq.sorted_vertices(), tq.arrows, tau)
+        components = [quiver_json_dict(p) for p in parts]
+        assert components_json(parts, **extra) == _dumped({**extra, "components": components})
+        angulations = [[list(d) for d in coll] for coll in found]
+        assert angulations_json(found, **extra) == _dumped({**extra, "angulations": angulations})
+
+    def test_colliding_tau_labels_collapse_as_in_the_dict_form(self):
+        # (3,) and "(3)" both render as "(3)": the dict form keeps the first
+        # key's place and the last value, and so must the writer.
+        tq = TranslationQuiver(Quiver([(3,), "(3)", 2, 4]), {(3,): 2, "(3)": 4})
+        text = to_json(tq)
+        assert text == _dumped(quiver_json_dict(tq))
+        assert json.loads(text)["tau"] == {"(3)": "4"}
+        assert text.count('"(3)": ') == 1
+
     def test_json_shape_and_stability(self):
         tq = gamma(4, 1)
         d = quiver_json_dict(tq)
