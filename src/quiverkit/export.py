@@ -92,10 +92,15 @@ def angulations_json(found: list[tuple[tuple[int, int], ...]], /, **extra) -> st
     return _document(extra, {'"angulations"': _join(angulations, 1)})
 
 
+def _dot_id(v) -> str:
+    """A vertex label as a DOT double-quoted ID, ``\\`` and ``"`` escaped."""
+    return '"' + vertex_label(v).replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def to_dot(tq: TranslationQuiver | Quiver, name: str = "quiver") -> str:
     """One digraph; solid arrows, dashed ``tau`` edges from y to tau(y)."""
     q, tau = (tq, {}) if isinstance(tq, Quiver) else (tq.quiver, tq.tau)
-    lab = _Rendered(lambda v: '"' + vertex_label(v) + '"')
+    lab = _Rendered(_dot_id)
     lines = [f"digraph {name} {{"]
     lines += [f"  {lab[v]};" for v in q.sorted_vertices()]
     lines += [f"  {lab[s]} -> {lab[t]};" for s, t in q.arrows]

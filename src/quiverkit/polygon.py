@@ -77,8 +77,11 @@ def is_m_diagonal(d: tuple[int, int], n: int, m: int) -> bool:
 
 
 def m_diagonals(n: int, m: int) -> list[Diagonal]:
+    """The m-diagonals ``(i, j)``, sorted: ``j - i = m*t + 1`` with 1 <= t <= n - 1."""
+    if n < 1 or m < 1:
+        raise ValueError(f"need n >= 1 and m >= 1, got n={n}, m={m}")
     N = n * m + 2
-    return [d for d in diagonals(N) if is_m_diagonal(d, n, m)]
+    return [(i, j) for i in range(1, N) for j in range(i + m + 1, min(N, i + N - m - 1) + 1, m)]
 
 
 def crossing(d1: Diagonal, d2: Diagonal) -> bool:
@@ -110,10 +113,10 @@ def row_of(d: tuple[int, int], N: int) -> int:
 def gamma(n: int, m: int = 1) -> TranslationQuiver:
     """The stable translation quiver of m-divisible diagonals of the (n*m+2)-gon.
 
-    Arrows go ``(i,j) -> (i,j+m)`` and ``(i,j) -> (i+m,j)`` whenever the
-    image is again a vertex, generated from both ordered representatives
-    of each unordered pair so the wrap-around arrows appear; the
-    translation sends ``(i,j)`` to ``(i-m,j-m)``.
+    Arrows go ``(i,j) -> (i,j+m)`` and ``(i,j) -> (i+m,j)`` whenever the image
+    is a vertex, and tau sends ``(i,j)`` to ``(i-m,j-m)``, labels modulo N.  With
+    ``j - i = m*t + 1`` the first image is one iff t <= n - 2 (it wraps around
+    to ``(j+m-N, i)`` when ``j + m > N``), the second iff t >= 2.
     """
     if n < 2:
         raise ValueError(f"need n >= 2, got n={n}")
@@ -121,17 +124,15 @@ def gamma(n: int, m: int = 1) -> TranslationQuiver:
         raise ValueError(f"need m >= 1, got m={m}")
     N = n * m + 2
     verts = m_diagonals(n, m)
-    vert_set = set(verts)
-
-    arrows = set()
+    arrows = []
+    tau = {}
     for d in verts:
-        for (i, j) in (d, (d[1], d[0])):
-            for cand in ((i, j + m), (i + m, j)):
-                tgt = normalize_pair(cand, N)
-                if tgt in vert_set:
-                    arrows.add((d, tgt))
-
-    tau = {d: normalize_pair((d[0] - m, d[1] - m), N) for d in verts}
+        i, j = d
+        if j - i <= m * (n - 2) + 1:
+            arrows.append((d, (i, j + m) if j + m <= N else (j + m - N, i)))
+        if j - i > 2 * m:
+            arrows.append((d, (i + m, j)))
+        tau[d] = (i - m, j - m) if i > m else (j - m, i - m + N)
     return TranslationQuiver(Quiver(verts, arrows), tau)
 
 

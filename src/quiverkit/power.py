@@ -4,9 +4,11 @@ A path ``x_0 -> x_1 -> ... -> x_L`` is *sectional* if at every interior
 step ``tau(x_{i+1}) != x_{i-1}`` (checked only where tau is defined).
 The m-th power of a translation quiver keeps the vertices, takes the
 sectional paths of length m as arrows (with multiplicity the number of
-such paths) and composes the translation with itself m times.  Powers of
-a connected quiver are usually disconnected; :func:`decompose` splits
-them into component translation quivers.
+such paths) and composes the translation with itself m times.
+:func:`power` counts these paths per last arrow and does not list them
+(:func:`sectional_paths` does).  Powers of a connected quiver are usually
+disconnected; :func:`decompose` splits them into component translation
+quivers.
 
 In the diagonal quiver ``gamma(N-2, 1)`` of an N-gon the sectional paths
 are the straight ones: a sectional path of length m from ``(i, j)`` ends
@@ -27,7 +29,7 @@ from .errors import QuiverkitError, SizeCapError
 # with "power" from that list.
 from .iso import iso_translation_quivers  # noqa: F401
 from .polygon import gamma
-from .quiver import Quiver, TranslationQuiver, Vertex, split_components
+from .quiver import TranslationQuiver, Vertex, split_components
 
 Path = tuple[Vertex, ...]
 
@@ -97,8 +99,23 @@ def power(tq: TranslationQuiver, m: int) -> TranslationQuiver:
     """
     if m < 1:
         raise ValueError(f"need m >= 1, got m={m}")
-    arrows = [(p[0], p[-1]) for p in sectional_paths(tq, m)]
-    return TranslationQuiver(Quiver(tq.vertices, arrows), compose_tau(tq, m))
+    q = tq.quiver
+    out, tau_of = q.out, tq.tau_of
+    arrows: list[tuple[Vertex, Vertex]] = []
+    for start in q.sorted_vertices():
+        # (prev, cur) -> number of sectional paths from start ending in the arrow
+        # prev -> cur.  prev is None before the first arrow and matches no tau image.
+        ends: dict[tuple, int] = {(None, start): 1}
+        for _ in range(m):
+            step: dict[tuple, int] = {}
+            for (prev, cur), count in ends.items():
+                for nxt, mult in out(cur):
+                    back = tau_of(nxt)
+                    if back is None or back != prev:
+                        step[cur, nxt] = step.get((cur, nxt), 0) + count * mult
+            ends = step
+        arrows += [(start, end) for (_, end), count in ends.items() for _ in range(count)]
+    return TranslationQuiver(q._derive(tq.vertices, arrows), compose_tau(tq, m))
 
 
 def decompose(tq: TranslationQuiver) -> list[TranslationQuiver]:

@@ -13,13 +13,15 @@ their natural order so that every listing in the package is
 deterministic.  All structures are immutable after construction, so they
 are safe to share between threads.
 
-This module is the only place that orders vertices.  A :class:`Quiver`
-sorts once, when it is built: ``sorted_vertices()``, ``arrows`` and the
-pairs of ``out``/``into`` follow :func:`vertex_key` (arrows by source,
-then target), and a :class:`TranslationQuiver` lists ``tau`` in the
-:func:`vertex_key` order of its domain.  Everything downstream (powers,
-strip quotients, components, DOT/JSON) reads these listings as they are
-instead of sorting again.
+This module is the only place that orders vertices: ``sorted_vertices()``,
+``arrows`` and the pairs of ``out``/``into`` follow :func:`vertex_key`
+(arrows by source, then target), and ``tau`` the order of its domain.
+The order is computed once per vertex universe: the :class:`Quiver`
+constructor ranks vertices and arrow ends by :func:`vertex_key`, and its
+powers and parts inherit that rank (a fresh sort's order, as the key is
+injective).  Downstream code reads these listings as they are.  Indexes
+behind ``arrow_count`` and ``out``/``into`` are built on first use;
+threads racing on a first call build equal indexes, so sharing stays safe.
 """
 
 from __future__ import annotations
@@ -62,26 +64,42 @@ class Quiver:
     whose endpoints are not listed as vertices;
     :func:`validate_translation_quiver` reports such defects instead of
     the constructor raising, so that broken inputs can be examined.
-    Vertices and arrows are sorted here, once (see the module docstring).
+    Vertices and arrows are ordered here, once (see the module docstring).
     """
 
-    __slots__ = ("_vertices", "_sorted", "_arrows", "_counts", "_out", "_in")
+    __slots__ = ("_vertices", "_rank", "_sorted", "_arrows", "_index")
 
     def __init__(self, vertices: Iterable[Vertex], arrows: Iterable[Arrow] = ()):
-        self._vertices = frozenset(vertices)
+        vertices = frozenset(vertices)
         arrows = [(s, t) for s, t in arrows]
-        ends = sorted(self._vertices.union(*arrows), key=vertex_key)
-        rank = {v: i for i, v in enumerate(ends)}
-        self._sorted = tuple(v for v in ends if v in self._vertices)
+        ends = sorted(vertices.union(*arrows), key=vertex_key)
+        self._order(vertices, arrows, {v: i for i, v in enumerate(ends)})
+
+    def _derive(self, vertices: Iterable[Vertex], arrows: list[Arrow]) -> Quiver:
+        """A power or part of this quiver, ordered by its rank if that ranks every end."""
+        vertices = frozenset(vertices)
+        if not self._rank.keys() >= vertices.union(*arrows):
+            return Quiver(vertices, arrows)
+        return Quiver.__new__(Quiver)._order(vertices, arrows, self._rank)
+
+    def _order(self, vertices: frozenset, arrows: list[Arrow], rank: dict) -> Quiver:
+        """Store the listings, ordered by ``rank`` (ends -> position in vertex_key order)."""
+        self._vertices, self._rank, self._index = vertices, rank, None
+        self._sorted = tuple(sorted(vertices, key=rank.__getitem__))
         self._arrows = tuple(sorted(arrows, key=lambda a: (rank[a[0]], rank[a[1]])))
-        self._counts = Counter(self._arrows)
-        out: dict[Vertex, list[tuple[Vertex, int]]] = {v: [] for v in self._vertices}
-        inn: dict[Vertex, list[tuple[Vertex, int]]] = {v: [] for v in self._vertices}
-        for (s, t), c in self._counts.items():
-            out.setdefault(s, []).append((t, c))
-            inn.setdefault(t, []).append((s, c))
-        self._out = out
-        self._in = inn
+        return self
+
+    def _indexes(self) -> tuple[Counter, dict, dict]:
+        """Arrow counts and ``out``/``into`` pairs, built on the first query."""
+        if self._index is None:
+            counts = Counter(self._arrows)
+            out: dict[Vertex, list] = {}
+            inn: dict[Vertex, list] = {}
+            for (s, t), c in counts.items():
+                out.setdefault(s, []).append((t, c))
+                inn.setdefault(t, []).append((s, c))
+            self._index = (counts, *({v: tuple(ps) for v, ps in d.items()} for d in (out, inn)))
+        return self._index
 
     @property
     def vertices(self) -> frozenset:
@@ -95,21 +113,21 @@ class Quiver:
         return list(self._sorted)
 
     def arrow_count(self, source: Vertex, target: Vertex) -> int:
-        return self._counts.get((source, target), 0)
+        return self._indexes()[0].get((source, target), 0)
 
     def out(self, v: Vertex) -> tuple[tuple[Vertex, int], ...]:
         """Outgoing ``(target, multiplicity)`` pairs of ``v``."""
-        return tuple(self._out.get(v, ()))
+        return self._indexes()[1].get(v, ())
 
     def into(self, v: Vertex) -> tuple[tuple[Vertex, int], ...]:
         """Incoming ``(source, multiplicity)`` pairs of ``v``."""
-        return tuple(self._in.get(v, ()))
+        return self._indexes()[2].get(v, ())
 
     def out_degree(self, v: Vertex) -> int:
-        return sum(c for _, c in self._out.get(v, ()))
+        return sum(c for _, c in self.out(v))
 
     def in_degree(self, v: Vertex) -> int:
-        return sum(c for _, c in self._in.get(v, ()))
+        return sum(c for _, c in self.into(v))
 
     def __contains__(self, v: Vertex) -> bool:
         return v in self._vertices
@@ -136,11 +154,10 @@ class TranslationQuiver:
 
     def __init__(self, quiver: Quiver, tau: Mapping[Vertex, Vertex]):
         self._quiver = quiver
-        self._tau = {v: tau[v] for v in sorted(tau, key=vertex_key)}
-        inv: dict[Vertex, Vertex] = {}
-        for v, w in self._tau.items():
-            inv.setdefault(w, v)
-        self._tau_inv = inv
+        key = quiver._rank.__getitem__ if quiver._rank.keys() >= tau.keys() else vertex_key
+        self._tau = {v: tau[v] for v in sorted(tau, key=key)}
+        # Each image -> its first preimage in the order of tau.
+        self._tau_inv = {w: v for v, w in reversed(self._tau.items())}
 
     @property
     def quiver(self) -> Quiver:
@@ -331,7 +348,7 @@ def restrict_translation_quiver(
     keep = frozenset(vertices)
     arrows = [(s, t) for s, t in tq.arrows if s in keep and t in keep]
     tau = {y: ty for y, ty in tq.tau.items() if y in keep and ty in keep}
-    return TranslationQuiver(Quiver(keep, arrows), tau)
+    return TranslationQuiver(tq.quiver._derive(keep, arrows), tau)
 
 
 def split_components(tq: TranslationQuiver) -> list[TranslationQuiver]:

@@ -8,7 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quiverkit import (
+    Quiver,
     SizeCapError,
+    TranslationQuiver,
     a_path_matrix,
     crossing,
     cyclic_gap,
@@ -125,6 +127,13 @@ class TestDiagonals:
                 )
                 assert brute == len(m_diagonals(n, m)) == (n - 1) * N // 2
 
+    def test_closed_form_matches_the_predicate(self):
+        for n, m in [(1, m) for m in range(1, 39)] + polygon_pairs(40):
+            N = n * m + 2
+            assert m_diagonals(n, m) == [d for d in diagonals(N) if is_m_diagonal(d, n, m)]
+        with pytest.raises(ValueError):
+            m_diagonals(3, 0)
+
     def test_normalize_pair_folds_modulo(self):
         assert normalize_pair((8, 4), 8) == (4, 8)
         assert normalize_pair((0, 5), 8) == (5, 8)
@@ -203,6 +212,24 @@ class TestGamma:
             arrows = set(tq.arrows)
             mapped = {(tq.tau_of(s), tq.tau_of(t)) for s, t in arrows}
             assert mapped == arrows
+
+    def test_closed_form_matches_folding_every_candidate(self):
+        # The construction by folding labels: both ordered representatives
+        # of each m-diagonal, both candidate images, kept if a vertex.
+        for n, m in polygon_pairs(40):
+            N = n * m + 2
+            verts = {d for d in diagonals(N) if is_m_diagonal(d, n, m)}
+            arrows = {
+                (d, normalize_pair(c, N))
+                for d in verts
+                for i, j in (d, d[::-1])
+                for c in ((i, j + m), (i + m, j))
+                if normalize_pair(c, N) in verts
+            }
+            tau = {d: normalize_pair((d[0] - m, d[1] - m), N) for d in verts}
+            ref = TranslationQuiver(Quiver(verts, arrows), tau)
+            tq = gamma(n, m)
+            assert tq == ref and list(tq.tau.items()) == list(ref.tau.items()), (n, m)
 
     def test_argument_errors(self):
         with pytest.raises(ValueError):

@@ -3,12 +3,18 @@
 import os
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_quiver import mixed_translation_quivers
 
 import quiverkit
 from quiverkit import (
+    Quiver,
     SizeCapError,
+    TranslationQuiver,
     compose_tau,
     decompose,
     gamma,
@@ -18,6 +24,7 @@ from quiverkit import (
     principal_component,
     sectional_paths,
     validate_translation_quiver,
+    vertex_key,
 )
 from quiverkit.verify import _theorem_pairs
 
@@ -113,6 +120,19 @@ class TestPower:
                     assert pw.quiver.arrow_count(src, tgt) == brute_sectional_count(
                         base, src, tgt, m
                     ), (n, m, src, tgt)
+
+    @given(mixed_translation_quivers(), st.integers(1, 3))
+    @settings(max_examples=150, deadline=None)
+    def test_counted_multiplicities_match_the_enumerated_paths(self, data, m):
+        # Parallel arrows and arrow or tau ends outside the vertex set.
+        vertices, arrows, tau = data
+        tq = TranslationQuiver(Quiver(vertices, arrows), tau)
+        pw = power(tq, m)
+        assert Counter(pw.arrows) == Counter((p[0], p[-1]) for p in sectional_paths(tq, m))
+        ends = sorted({*vertices, *(e for a in arrows for e in a)}, key=vertex_key)
+        for src in tq.sorted_vertices():
+            got = [pw.quiver.arrow_count(src, tgt) for tgt in ends]
+            assert got == [brute_sectional_count(tq, src, tgt, m) for tgt in ends]
 
     def test_power_multiplicities_at_most_one_on_these_instances(self):
         for n, m in ((6, 2), (6, 3), (10, 2)):

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -27,6 +28,7 @@ from quiverkit import (
     power,
     quiver_json_dict,
     restrict_translation_quiver,
+    split_components,
     to_dot,
     to_json,
     validate_translation_quiver,
@@ -208,14 +210,19 @@ def _reference_components(q):
     )
 
 
+DOT_ESCAPES = {ord("\\"): "\\\\", ord('"'): '\\"'}
+# A DOT double-quoted ID; the group is its text with the escapes left in.
+DOT_ID = r'"((?:[^"\\]|\\.)*)"'
+
+
 def _reference_dot(vertices, arrows, tau):
+    def q(v):
+        return '"' + vertex_label(v).translate(DOT_ESCAPES) + '"'
+
     lines = ["digraph quiver {"]
-    lines += [f'  "{vertex_label(v)}";' for v in vertices]
-    lines += [f'  "{vertex_label(s)}" -> "{vertex_label(t)}";' for s, t in arrows]
-    lines += [
-        f'  "{vertex_label(y)}" -> "{vertex_label(ty)}" [style=dashed, label="tau"];'
-        for y, ty in tau
-    ]
+    lines += [f"  {q(v)};" for v in vertices]
+    lines += [f"  {q(s)} -> {q(t)};" for s, t in arrows]
+    lines += [f'  {q(y)} -> {q(ty)} [style=dashed, label="tau"];' for y, ty in tau]
     return "\n".join(lines + ["}"]) + "\n"
 
 
@@ -284,6 +291,56 @@ class TestVertexOrder:
             for seed in range(16)
         }
         assert len(listings) == 1, listings
+
+
+def _listings(tq):
+    return tq.sorted_vertices(), tq.arrows, list(tq.tau.items())
+
+
+def _rebuilt(tq):
+    """``tq`` built again through the public constructors, from its own listings."""
+    vs, arrows, tau = _listings(tq)
+    return TranslationQuiver(Quiver(set(vs), list(arrows)), dict(tau))
+
+
+class TestInheritedOrder:
+    """Powers and parts order by their parent's rank, as a fresh sort would."""
+
+    @given(mixed_translation_quivers(MIXED_VERTICES | LABEL_VERTICES), st.lists(MIXED_VERTICES, max_size=2))
+    @settings(max_examples=200, deadline=None)
+    def test_derived_quivers_list_as_if_built_afresh(self, data, extra):
+        vertices, arrows, tau = data
+        tq = TranslationQuiver(Quiver(vertices, arrows), tau)
+        derived = [power(tq, m) for m in (1, 2, 3)] + split_components(tq)
+        # Extra vertices that the parent does not rank take the fallback sort.
+        derived.append(restrict_translation_quiver(tq, [*vertices, *extra]))
+        for d in derived:
+            # __eq__ ignores the order of tau, so compare the listings too.
+            assert _listings(d) == _listings(_rebuilt(d))
+
+
+class TestLazyIndexes:
+    QUERIES = ["arrow_count", "out", "into", "out_degree", "in_degree"]
+
+    @given(mixed_translation_quivers(), st.permutations(QUERIES))
+    @settings(max_examples=100, deadline=None)
+    def test_queries_match_brute_force_in_any_first_call_order(self, data, order):
+        vertices, arrows, _ = data
+        q = Quiver(vertices, arrows)
+        ends = sorted({*vertices, *(e for a in arrows for e in a), "absent"}, key=vertex_key)
+        counts = Counter(arrows)
+        expected = {
+            "out": lambda v: tuple((t, counts[v, t]) for t in ends if counts[v, t]),
+            "into": lambda v: tuple((s, counts[s, v]) for s in ends if counts[s, v]),
+            "out_degree": lambda v: sum(c for (s, _), c in counts.items() if s == v),
+            "in_degree": lambda v: sum(c for (_, t), c in counts.items() if t == v),
+        }
+        for name in order:
+            for v in ends:
+                if name == "arrow_count":
+                    assert [q.arrow_count(v, w) for w in ends] == [counts[v, w] for w in ends]
+                else:
+                    assert getattr(q, name)(v) == expected[name](v), (name, v)
 
 
 class TestIsomorphism:
@@ -541,6 +598,32 @@ class TestExport:
         assert components_json(parts, **extra) == _dumped({**extra, "components": components})
         angulations = [[list(d) for d in coll] for coll in found]
         assert angulations_json(found, **extra) == _dumped({**extra, "angulations": angulations})
+
+    @given(mixed_translation_quivers(LABEL_VERTICES))
+    @settings(max_examples=200, deadline=None)
+    def test_dot_ids_are_quoted_and_escaped(self, data):
+        vertices, arrows, tau = data
+        tq = TranslationQuiver(Quiver(vertices, arrows), tau)
+        lines = [f"  {DOT_ID};" for _ in tq.sorted_vertices()]
+        lines += [f"  {DOT_ID} -> {DOT_ID};" for _ in tq.arrows]
+        lines += [rf'  {DOT_ID} -> {DOT_ID} \[style=dashed, label="tau"\];' for _ in tq.tau]
+        pattern = "\n".join(["digraph quiver \\{", *lines, "\\}"]) + "\n"
+        match = re.fullmatch(pattern, to_dot(tq), re.DOTALL)
+        assert match is not None
+        ends = [*tq.sorted_vertices(), *(e for a in tq.arrows for e in a)]
+        ends += [e for pair in tq.tau.items() for e in pair]
+        unescaped = [re.sub(r"\\(.)", r"\1", g, flags=re.DOTALL) for g in match.groups()]
+        assert unescaped == [vertex_label(v) for v in ends]
+
+    def test_dot_escapes_quotes_and_backslashes(self):
+        text = to_dot(Quiver(['say "hi"', "back\\slash"], [('say "hi"', "back\\slash")]))
+        assert text == (
+            "digraph quiver {\n"
+            '  "back\\\\slash";\n'
+            '  "say \\"hi\\"";\n'
+            '  "say \\"hi\\"" -> "back\\\\slash";\n'
+            "}\n"
+        )
 
     def test_colliding_tau_labels_collapse_as_in_the_dict_form(self):
         # (3,) and "(3)" both render as "(3)": the dict form keeps the first
