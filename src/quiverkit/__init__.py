@@ -3,6 +3,11 @@
 Diagonal quivers of polygons, their powers via sectional paths, finite
 orbit quotients of the infinite strip, and cluster-algebra mutation,
 with deterministic DOT/JSON output and a named verification suite.
+
+The package attribute ``power`` is the function, not the submodule of
+the same name: callers and tests write ``from quiverkit import power``,
+so the name stays the function.  Reach the module, e.g. to patch its
+globals, with ``importlib.import_module("quiverkit.power")``.
 """
 
 from .config import default_vertex_cap
@@ -45,7 +50,6 @@ from .polygon import (
 )
 from .power import (
     compose_tau,
-    decompose,
     is_sectional,
     power,
     principal_component,
@@ -57,7 +61,6 @@ from .quiver import (
     ValidationResult,
     Violation,
     connected_components,
-    restrict_translation_quiver,
     split_components,
     tau_orbits,
     validate_translation_quiver,
@@ -93,7 +96,6 @@ __all__ = [
     "counting_check",
     "crossing",
     "cyclic_gap",
-    "decompose",
     "default_vertex_cap",
     "diagonals",
     "enumerate_angulations",
@@ -113,7 +115,6 @@ __all__ = [
     "power",
     "principal_component",
     "quiver_json_dict",
-    "restrict_translation_quiver",
     "row_of",
     "run_checks",
     "sectional_paths",

@@ -25,7 +25,8 @@ from .mutation import (
 )
 from .orbit import classify_components, orbit_quiver
 from .polygon import enumerate_angulations, gamma
-from .power import decompose, power
+from .power import power
+from .quiver import split_components
 from .verify import run_checks
 
 SCHEMA = "quiverkit/1"
@@ -39,28 +40,29 @@ def _emit(text: str, out: str | None) -> None:
             fh.write(text)
 
 
+def _emit_quiver(args, tq, name: str, **meta) -> int:
+    """Write one quiver as ``--emit`` asks: DOT graph ``name``, or JSON with ``meta``."""
+    if args.emit == "dot":
+        _emit(to_dot(tq, name=name), args.out)
+    else:
+        _emit(to_json(tq, schema=SCHEMA, **meta), args.out)
+    return 0
+
+
 def _cmd_gamma(args) -> int:
     tq = gamma(args.n, args.m)
-    if args.emit == "dot":
-        _emit(to_dot(tq, name=f"gamma_{args.n}_{args.m}"), args.out)
-    else:
-        _emit(to_json(tq, schema=SCHEMA, n=args.n, m=args.m), args.out)
-    return 0
+    return _emit_quiver(args, tq, f"gamma_{args.n}_{args.m}", n=args.n, m=args.m)
 
 
 def _cmd_power(args) -> int:
     tq = power(gamma(args.n, 1), args.m)
-    if args.components:
-        parts = decompose(tq)
-        if args.emit == "dot":
-            _emit(components_dot(parts), args.out)
-        else:
-            _emit(components_json(parts, schema=SCHEMA, n=args.n, m=args.m), args.out)
+    if not args.components:
+        return _emit_quiver(args, tq, f"power_{args.n}_{args.m}", n=args.n, m=args.m)
+    parts = split_components(tq)
+    if args.emit == "dot":
+        _emit(components_dot(parts), args.out)
     else:
-        if args.emit == "dot":
-            _emit(to_dot(tq, name=f"power_{args.n}_{args.m}"), args.out)
-        else:
-            _emit(to_json(tq, schema=SCHEMA, n=args.n, m=args.m), args.out)
+        _emit(components_json(parts, schema=SCHEMA, n=args.n, m=args.m), args.out)
     return 0
 
 
@@ -143,11 +145,8 @@ def _cmd_angulations(args) -> int:
 
 def _cmd_orbit(args) -> int:
     oq = orbit_quiver(args.k, args.s, args.r)
-    if args.emit == "dot":
-        _emit(to_dot(oq.quotient, name=f"orbit_{args.k}_{args.s}_{args.r}"), args.out)
-    else:
-        _emit(to_json(oq.quotient, schema=SCHEMA, k=args.k, s=args.s, r=args.r), args.out)
-    return 0
+    name = f"orbit_{args.k}_{args.s}_{args.r}"
+    return _emit_quiver(args, oq.quotient, name, k=args.k, s=args.s, r=args.r)
 
 
 def _cmd_verify(args) -> int:

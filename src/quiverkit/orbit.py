@@ -40,11 +40,11 @@ row ``i`` to the diagonals that cut off an (i*m + 2)-gon.
 ``check_orbit_model_pinning`` in :mod:`quiverkit.verify` confirms φ with
 :func:`~quiverkit.iso.check_iso` instead of searching for an isomorphism.
 
-:func:`classify_components` decomposes the m-th power of the diagonal
-quiver of an (n*m+2)-gon, compares the principal component with
-``gamma(n, m)`` for equality (see :mod:`quiverkit.power`), reads the
-normal form of every other component off these invariants and confirms
-it with one isomorphism test.
+:func:`classify_components` splits the m-th power of the diagonal quiver
+of an (n*m+2)-gon with :func:`~quiverkit.quiver.split_components`,
+compares the principal component with ``gamma(n, m)`` for equality (see
+:mod:`quiverkit.power`), reads the normal form of every other component
+off these invariants and confirms it with one isomorphism test.
 """
 
 from __future__ import annotations
@@ -172,7 +172,6 @@ class ComponentMatch:
     """A non-principal power component and its orbit-quiver matches."""
 
     size: int
-    vertices: tuple
     match: tuple[int, int, int] | None  # lexicographically least (k, s, r)
     all_matches: tuple[tuple[int, int, int], ...]
 
@@ -282,7 +281,6 @@ def _match_component(
         triples = []
     return ComponentMatch(
         size=len(comp.vertices),
-        vertices=tuple(comp.sorted_vertices()),
         match=triples[0] if triples else None,
         all_matches=tuple(triples),
     )

@@ -7,8 +7,8 @@ sectional paths of length m as arrows (with multiplicity the number of
 such paths) and composes the translation with itself m times.
 :func:`power` counts these paths per last arrow and does not list them
 (:func:`sectional_paths` does).  Powers of a connected quiver are usually
-disconnected; :func:`decompose` splits them into component translation
-quivers.
+disconnected; :func:`~quiverkit.quiver.split_components` splits them into
+component translation quivers.
 
 In the diagonal quiver ``gamma(N-2, 1)`` of an N-gon the sectional paths
 are the straight ones: a sectional path of length m from ``(i, j)`` ends
@@ -118,16 +118,6 @@ def power(tq: TranslationQuiver, m: int) -> TranslationQuiver:
     return TranslationQuiver(q._derive(tq.vertices, arrows), compose_tau(tq, m))
 
 
-def decompose(tq: TranslationQuiver) -> list[TranslationQuiver]:
-    """Component translation quivers, largest first.
-
-    Components follow arrows and translation links, so arrow-less vertex
-    classes tied together by the translation (the n = 2 diagonal quivers)
-    stay in one piece, and the translation restricts to each component.
-    """
-    return split_components(tq)
-
-
 def _gamma_power_components(
     n: int, m: int, cap: int | None
 ) -> tuple[TranslationQuiver, list[TranslationQuiver]]:
@@ -147,7 +137,7 @@ def _gamma_power_components(
             f"(gamma({n * m},1) has {base_size})"
         )
     seed = (1, m + 2)
-    comps = decompose(power(gamma(n * m, 1), m))
+    comps = split_components(power(gamma(n * m, 1), m))
     principal = next(c for c in comps if seed in c.vertices)
     return principal, [c for c in comps if c is not principal]
 

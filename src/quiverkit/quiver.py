@@ -18,10 +18,11 @@ This module is the only place that orders vertices: ``sorted_vertices()``,
 (arrows by source, then target), and ``tau`` the order of its domain.
 The order is computed once per vertex universe: the :class:`Quiver`
 constructor ranks vertices and arrow ends by :func:`vertex_key`, and its
-powers and parts inherit that rank (a fresh sort's order, as the key is
-injective).  Downstream code reads these listings as they are.  Indexes
-behind ``arrow_count`` and ``out``/``into`` are built on first use;
-threads racing on a first call build equal indexes, so sharing stays safe.
+powers and the parts of :func:`split_components` inherit that rank (a
+fresh sort's order, as the key is injective).  Downstream code reads
+these listings as they are.  Indexes behind ``arrow_count`` and
+``out``/``into`` are built on first use; threads racing on a first call
+build equal indexes, so sharing stays safe.
 """
 
 from __future__ import annotations
@@ -75,11 +76,8 @@ class Quiver:
         ends = sorted(vertices.union(*arrows), key=vertex_key)
         self._order(vertices, arrows, {v: i for i, v in enumerate(ends)})
 
-    def _derive(self, vertices: Iterable[Vertex], arrows: list[Arrow]) -> Quiver:
-        """A power or part of this quiver, ordered by its rank if that ranks every end."""
-        vertices = frozenset(vertices)
-        if not self._rank.keys() >= vertices.union(*arrows):
-            return Quiver(vertices, arrows)
+    def _derive(self, vertices: frozenset, arrows: list[Arrow]) -> Quiver:
+        """A power or part of this quiver, ordered by its rank, which must rank every end."""
         return Quiver.__new__(Quiver)._order(vertices, arrows, self._rank)
 
     def _order(self, vertices: frozenset, arrows: list[Arrow], rank: dict) -> Quiver:
@@ -150,14 +148,12 @@ class Quiver:
 class TranslationQuiver:
     """A :class:`Quiver` plus a partial translation map ``tau``."""
 
-    __slots__ = ("_quiver", "_tau", "_tau_inv")
+    __slots__ = ("_quiver", "_tau")
 
     def __init__(self, quiver: Quiver, tau: Mapping[Vertex, Vertex]):
         self._quiver = quiver
         key = quiver._rank.__getitem__ if quiver._rank.keys() >= tau.keys() else vertex_key
         self._tau = {v: tau[v] for v in sorted(tau, key=key)}
-        # Each image -> its first preimage in the order of tau.
-        self._tau_inv = {w: v for v, w in reversed(self._tau.items())}
 
     @property
     def quiver(self) -> Quiver:
@@ -180,10 +176,6 @@ class TranslationQuiver:
 
     def tau_of(self, v: Vertex, default=None):
         return self._tau.get(v, default)
-
-    def tau_inv_of(self, v: Vertex, default=None):
-        """A preimage of ``v`` under tau (unique when tau is injective)."""
-        return self._tau_inv.get(v, default)
 
     @property
     def is_stable(self) -> bool:
@@ -298,8 +290,7 @@ def validate_translation_quiver(tq: TranslationQuiver) -> ValidationResult:
                     )
                 )
 
-    stable = set(tau) == vs and set(tau.values()) == vs
-    return ValidationResult(ok=not violations, stable=stable, violations=tuple(violations))
+    return ValidationResult(ok=not violations, stable=tq.is_stable, violations=tuple(violations))
 
 
 def connected_components(q: Quiver | TranslationQuiver) -> list[frozenset]:
@@ -310,6 +301,7 @@ def connected_components(q: Quiver | TranslationQuiver) -> list[frozenset]:
     vertices such as the diagonals of a square.  The list is sorted by
     (size descending, smallest vertex): each component is found from its
     smallest vertex, and the sort by size is stable.
+    :func:`split_components` builds the translation quiver of each.
     """
     links = q.arrows
     if isinstance(q, TranslationQuiver):
@@ -338,36 +330,42 @@ def connected_components(q: Quiver | TranslationQuiver) -> list[frozenset]:
     return comps
 
 
-def restrict_translation_quiver(
-    tq: TranslationQuiver, vertices: Iterable[Vertex]
-) -> TranslationQuiver:
-    """Restrict arrows and tau to a vertex subset.
-
-    Arrows and tau pairs with an endpoint outside the subset are left out.
-    """
-    keep = frozenset(vertices)
-    arrows = [(s, t) for s, t in tq.arrows if s in keep and t in keep]
-    tau = {y: ty for y, ty in tq.tau.items() if y in keep and ty in keep}
-    return TranslationQuiver(tq.quiver._derive(keep, arrows), tau)
-
-
 def split_components(tq: TranslationQuiver) -> list[TranslationQuiver]:
-    """One restricted translation quiver per component.
+    """One translation quiver per component, in :func:`connected_components` order.
 
-    Components follow arrows and translation links (see
-    :func:`connected_components`), so tau never leaves a component.
+    Components follow arrows and translation links, so arrow-less vertex
+    classes tied together by the translation (the diagonals of a square)
+    stay in one piece, and tau never leaves a component.  Arrows and tau
+    pairs with an end outside the vertex set belong to no part.  One scan
+    gives each remaining arrow and tau pair to the component of its ends.
     """
-    return [restrict_translation_quiver(tq, comp) for comp in connected_components(tq)]
+    comps = connected_components(tq)
+    part = {v: i for i, comp in enumerate(comps) for v in comp}
+    arrows: list[list[Arrow]] = [[] for _ in comps]
+    taus: list[dict] = [{} for _ in comps]
+    for s, t in tq.arrows:
+        if s in part and t in part:
+            arrows[part[s]].append((s, t))
+    for y, ty in tq.tau.items():
+        if y in part and ty in part:
+            taus[part[y]][y] = ty
+    return [TranslationQuiver(tq.quiver._derive(c, a), t) for c, a, t in zip(comps, arrows, taus)]
 
 
 def tau_orbits(tq: TranslationQuiver) -> list[tuple[Vertex, ...]]:
-    """Cycles/chains of the translation map, mostly useful for display."""
+    """Cycles/chains of the translation map, mostly useful for display.
+
+    The vertices outside the image of tau start the first orbits, in
+    vertex order; the vertices left over then start the others, in the
+    same order.
+    """
     succ = dict(tq.tau)
-    starts = [v for v in tq.sorted_vertices() if tq.tau_inv_of(v) is None]
+    images = set(succ.values())
+    order = tq.sorted_vertices()
     orbits = []
     visited: set = set()
-    for start in starts + [v for v in tq.sorted_vertices() if v not in visited]:
-        if start in visited or start not in tq.vertices:
+    for start in [v for v in order if v not in images] + order:
+        if start in visited:
             continue
         orbit = [start]
         visited.add(start)

@@ -28,8 +28,8 @@ from .mutation import (
 )
 from .orbit import _diagonal_labels, classify_components, orbit_quiver
 from .polygon import enumerate_angulations, gamma, row_of
-from .power import decompose, power, principal_component
-from .quiver import validate_translation_quiver
+from .power import power, principal_component
+from .quiver import split_components, validate_translation_quiver
 
 # The diagonal quiver of the hexagon, frozen from the drawn picture:
 # 9 diagonals, 12 arrows, translation (i,j) -> (i-1,j-1).
@@ -96,7 +96,7 @@ def check_octagon_vertices() -> tuple[bool, str]:
 
 
 def check_octagon_power_components() -> tuple[bool, str]:
-    comps = decompose(power(gamma(6, 1), 2))
+    comps = split_components(power(gamma(6, 1), 2))
     sizes = [len(c.vertices) for c in comps]
     ok = sizes == [8, 6, 6]
     if ok:
@@ -125,7 +125,7 @@ def check_power_theorem_sweep() -> tuple[bool, str]:
             principal_component(n, m)
         except QuiverkitError as exc:
             return False, f"failed at (n,m)=({n},{m}): {exc}"
-    return True, f"{len(pairs)} pairs (n,m) with n*m+2 <= 14, all isomorphic"
+    return True, f"{len(pairs)} pairs (n,m) with n*m+2 <= 14, all equal to gamma(n,m)"
 
 
 def check_power_stability_sweep() -> tuple[bool, str]:
@@ -234,7 +234,7 @@ def check_row_property() -> tuple[bool, str]:
     for n, m in ((2, 3), (3, 3)):
         N = n * m + 2
         base = gamma(n * m, 1)
-        comps = decompose(power(base, m))
+        comps = split_components(power(base, m))
         comp_of = {}
         for idx, comp in enumerate(comps):
             for v in comp.vertices:

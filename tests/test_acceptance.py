@@ -10,11 +10,11 @@ import pytest
 
 from quiverkit import (
     check_names,
-    decompose,
     gamma,
     iso_translation_quivers,
     power,
     run_checks,
+    split_components,
 )
 
 
@@ -53,7 +53,7 @@ def test_01_hexagon_fixture():
 
 def test_03_power_decomposition_fixture():
     def work():
-        comps = decompose(power(gamma(6, 1), 2))
+        comps = split_components(power(gamma(6, 1), 2))
         big = next(c for c in comps if (1, 4) in c.vertices)
         iso_translation_quivers(big, gamma(3, 2))
 

@@ -11,12 +11,12 @@ from quiverkit import (
     ZARule,
     check_iso,
     classify_components,
-    decompose,
     gamma,
     iso_translation_quivers,
     normalize_pair,
     orbit_quiver,
     power,
+    split_components,
     validate_translation_quiver,
     vertex_key,
 )
@@ -133,7 +133,7 @@ def searched_matches(comp, n, m):
 
 
 def non_principal_components(n, m):
-    comps = decompose(power(gamma(n * m, 1), m))
+    comps = split_components(power(gamma(n * m, 1), m))
     return [c for c in comps if (1, m + 2) not in c.vertices]
 
 

@@ -16,13 +16,13 @@ from quiverkit import (
     SizeCapError,
     TranslationQuiver,
     compose_tau,
-    decompose,
     gamma,
     is_sectional,
     iso_translation_quivers,
     power,
     principal_component,
     sectional_paths,
+    split_components,
     validate_translation_quiver,
     vertex_key,
 )
@@ -86,7 +86,7 @@ class TestPower:
         assert sq.quiver.arrow_count((1, 4), (1, 6)) == 1
 
     def test_octagon_square_has_three_components(self):
-        comps = decompose(power(gamma(6, 1), 2))
+        comps = split_components(power(gamma(6, 1), 2))
         assert [len(c.vertices) for c in comps] == [8, 6, 6]
         assert (1, 4) in comps[0].vertices
         assert (1, 3) in comps[1].vertices
@@ -142,23 +142,23 @@ class TestPower:
 
 class TestDecompose:
     def test_first_power_of_connected_quiver_is_one_piece(self):
-        comps = decompose(power(gamma(4, 1), 1))
+        comps = split_components(power(gamma(4, 1), 1))
         assert [len(c.vertices) for c in comps] == [9]
 
     def test_components_pass_validation(self):
-        for comp in decompose(power(gamma(6, 1), 2)):
+        for comp in split_components(power(gamma(6, 1), 2)):
             res = validate_translation_quiver(comp)
             assert res.ok and res.stable
 
     def test_component_through_1_4_is_octagon_quiver(self):
-        comps = decompose(power(gamma(6, 1), 2))
+        comps = split_components(power(gamma(6, 1), 2))
         big = next(c for c in comps if (1, 4) in c.vertices)
         assert iso_translation_quivers(big, gamma(3, 2)) is not None
 
     def test_square_diagonals_stay_together(self):
         # gamma(2,1) has no arrows; the translation alone ties its two
         # vertices into one component.
-        comps = decompose(power(gamma(2, 1), 1))
+        comps = split_components(power(gamma(2, 1), 1))
         assert [len(c.vertices) for c in comps] == [2]
 
 
@@ -197,12 +197,12 @@ class TestPrincipalComponent:
             "import importlib\n"
             "from quiverkit.quiver import TranslationQuiver, split_components\n"
             "power = importlib.import_module('quiverkit.power')\n"
-            "def decompose(tq):\n"
+            "def moved_tau(tq):\n"
             "    comps = split_components(tq)\n"
             "    v = comps[0].sorted_vertices()[0]\n"
             "    moved = TranslationQuiver(comps[0].quiver, {**comps[0].tau, v: v})\n"
             "    return [moved] + comps[1:]\n"
-            "power.decompose = decompose\n"
+            "power.split_components = moved_tau\n"
             "from quiverkit.verify import check_power_theorem_sweep\n"
             "print(*check_power_theorem_sweep())\n"
         )

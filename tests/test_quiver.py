@@ -9,7 +9,7 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from networkx import MultiDiGraph
 from networkx.algorithms.isomorphism import MultiDiGraphMatcher
@@ -21,14 +21,13 @@ from quiverkit import (
     check_iso,
     classify_components,
     connected_components,
-    decompose,
     gamma,
     iso_translation_quivers,
     orbit_quiver,
     power,
     quiver_json_dict,
-    restrict_translation_quiver,
     split_components,
+    tau_orbits,
     to_dot,
     to_json,
     validate_translation_quiver,
@@ -36,6 +35,7 @@ from quiverkit import (
     vertex_label,
 )
 from quiverkit.cli import main
+from quiverkit.power import _gamma_power_components
 from quiverkit.export import angulations_json, components_json
 
 
@@ -161,9 +161,8 @@ class TestComponents:
         assert [len(c) for c in connected_components(square)] == [2]
 
     def test_restriction_of_component_passes_validation(self):
-        sq = power(gamma(6, 1), 2)
-        for comp in connected_components(sq):
-            res = validate_translation_quiver(restrict_translation_quiver(sq, comp))
+        for comp in split_components(power(gamma(6, 1), 2)):
+            res = validate_translation_quiver(comp)
             assert res.ok and res.stable
 
 
@@ -306,17 +305,40 @@ def _rebuilt(tq):
 class TestInheritedOrder:
     """Powers and parts order by their parent's rank, as a fresh sort would."""
 
-    @given(mixed_translation_quivers(MIXED_VERTICES | LABEL_VERTICES), st.lists(MIXED_VERTICES, max_size=2))
+    @given(mixed_translation_quivers(MIXED_VERTICES | LABEL_VERTICES))
     @settings(max_examples=200, deadline=None)
-    def test_derived_quivers_list_as_if_built_afresh(self, data, extra):
+    def test_derived_quivers_list_as_if_built_afresh(self, data):
         vertices, arrows, tau = data
         tq = TranslationQuiver(Quiver(vertices, arrows), tau)
-        derived = [power(tq, m) for m in (1, 2, 3)] + split_components(tq)
-        # Extra vertices that the parent does not rank take the fallback sort.
-        derived.append(restrict_translation_quiver(tq, [*vertices, *extra]))
-        for d in derived:
+        for d in [power(tq, m) for m in (1, 2, 3)] + split_components(tq):
             # __eq__ ignores the order of tau, so compare the listings too.
             assert _listings(d) == _listings(_rebuilt(d))
+
+
+def _restricted(tq, keep):
+    """Brute-force part of ``tq`` on ``keep``: a fresh build from the pairs with both ends kept."""
+    arrows = [(s, t) for s, t in tq.arrows if s in keep and t in keep]
+    tau = {y: ty for y, ty in tq.tau.items() if y in keep and ty in keep}
+    return TranslationQuiver(Quiver(keep, arrows), tau)
+
+
+class TestSplitComponents:
+    # Parallel arrows 1 => 2, an arrow and tau pairs with an end off the
+    # vertex set, and arrow-less "a", "b", (3,) tied to each other by tau only.
+    @example(
+        ([1, 2, "a", "b", "c", (3,)], [(1, 2), (2, "x"), (1, 2)], {"a": "b", "b": (3,), "c": "y", "z": 1})
+    )
+    @given(mixed_translation_quivers(MIXED_VERTICES | LABEL_VERTICES))
+    @settings(max_examples=200, deadline=None)
+    def test_parts_equal_brute_force_restrictions(self, data):
+        vertices, arrows, tau = data
+        tq = TranslationQuiver(Quiver(vertices, arrows), tau)
+        parts = split_components(tq)
+        assert [p.vertices for p in parts] == connected_components(tq)
+        for part in parts:
+            ref = _restricted(tq, part.vertices)
+            # __eq__ ignores the order of tau, so compare the listings too.
+            assert part == ref and _listings(part) == _listings(ref)
 
 
 class TestLazyIndexes:
@@ -351,9 +373,7 @@ class TestIsomorphism:
         assert check_iso(a, a, phi)
 
     def test_power_component_matches_octagon_quiver(self):
-        from quiverkit import decompose
-
-        comps = decompose(power(gamma(6, 1), 2))
+        comps = split_components(power(gamma(6, 1), 2))
         big = next(c for c in comps if (1, 4) in c.vertices)
         phi = iso_translation_quivers(gamma(3, 2), big)
         assert phi is not None
@@ -437,11 +457,10 @@ class TestIsomorphism:
         assert json.loads(out.read_text())["principal"] == {"size": 1034, "iso_gamma": True}
 
     def test_argument_order_does_not_matter(self):
+        # classify_components lists the other components in split order.
         match = classify_components(3, 7).others[0]
-        comp = next(
-            c for c in decompose(power(gamma(21, 1), 7))
-            if c.vertices == set(match.vertices)
-        )
+        _, [comp, *_] = _gamma_power_components(3, 7, None)
+        assert len(comp.vertices) == match.size
         quotient = orbit_quiver(*match.match).quotient
         phi = iso_translation_quivers(quotient, comp)
         psi = iso_translation_quivers(comp, quotient)
@@ -551,17 +570,27 @@ class TestIsomorphismOracle:
 
 class TestTauOrbits:
     def test_hexagon_orbit_sizes(self):
-        from quiverkit import tau_orbits
-
         orbits = tau_orbits(gamma(4, 1))
         assert sorted(len(o) for o in orbits) == [3, 6]
         covered = {v for o in orbits for v in o}
         assert covered == gamma(4, 1).vertices
 
     def test_octagon_quiver_orbit_sizes(self):
-        from quiverkit import tau_orbits
-
         assert sorted(len(o) for o in tau_orbits(gamma(3, 2))) == [4, 4]
+
+    def test_partial_tau_orbits_are_pinned(self):
+        # Chain 3 -> 1 -> 2, cycle 4 -> 5 -> 6 -> 4, fixed point 8, 7 -> "ghost"
+        # (no vertex), 9 without tau, and the chain 10 -> 11 whose preimage
+        # "out" is no vertex: chains from vertices outside tau's image first.
+        tq = TranslationQuiver(
+            Quiver(range(1, 12), [(1, 4), (7, 8)]),
+            {3: 1, 1: 2, 4: 5, 5: 6, 6: 4, 7: "ghost", 8: 8, "out": 10, 10: 11},
+        )
+        assert tau_orbits(tq) == [(3, 1, 2), (7, "ghost"), (9,), (4, 5, 6), (8,), (10, 11)]
+        mixed = TranslationQuiver(
+            Quiver(["a", "b", (1,), (2,), 3]), {(2,): (1,), (1,): "a", "a": (2,), "b": 3}
+        )
+        assert tau_orbits(mixed) == [("b", 3), ((1,), "a", (2,))]
 
 
 JSON_VALUES = st.recursive(
