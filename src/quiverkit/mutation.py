@@ -29,6 +29,30 @@ non-Laurent entries that other sign-skew-symmetric seeds reach.  sympy is
 imported when a field is first built (:func:`variables`, ``_field``), not
 when this module loads, so only ``mutate`` and the ``verify`` checks that
 mutate load it.
+
+:func:`enumerate_cluster_variables` walks the exchange graph breadth
+first.  When B is skew-symmetrizable (positive d_i with d_i b_ij =
+-d_j b_ji) the walk carries integers only: B, the seed's g-vectors and
+its c-vector matrix C, which start as the identity (principal
+coefficients) and mutate by Fomin-Zelevinsky, *Cluster algebras IV*
+(2007), and Nakanishi-Zelevinsky (2012).  With eps the sign of c-vector
+k (column k of C), mutation at k sets
+
+    g_k' = -g_k + sum_i max(-eps * b_ik, 0) * g_i
+
+and mutates C as the lower half of the extended matrix [B; C].  This
+relies on sign coherence: every c-vector is nonzero with all entries of
+one sign, a theorem for skew-symmetrizable B (Gross-Hacking-Keel-
+Kontsevich 2018).  A seed is keyed by its sorted g-vectors and B
+permuted to match.  For such B, cluster variables are determined by
+their g-vectors (same source) and the exchange graph does not depend on
+the coefficients (Cao-Huang-Li 2020), so this key identifies exactly the
+seeds that the fractions do.  A fraction is computed only when an
+admitted seed brings a g-vector not met before, by one exchange
+relation in the seed it was reached from: a closure does (variables - n)
+exchanges.  Any other sign-skew-symmetric B keeps the fraction closure,
+which runs the exchange relation for every (seed, direction) and keys
+seeds by their fractions; the same breadth-first loop drives both.
 """
 
 from __future__ import annotations
@@ -296,6 +320,35 @@ class ExchangeMatrix:
         m = self._m
         return all(_sign(x) == -_sign(m[j][i]) for i, r in enumerate(m) for j, x in enumerate(r))
 
+    def is_skew_symmetrizable(self) -> bool:
+        """True iff some positive d_1..d_n have d_i M[i,j] = -d_j M[j,i] for all i, j.
+
+        Fixes d = 1 at one vertex of each component of the graph of
+        nonzero entries, derives d along its edges, and checks every entry
+        against it.
+        """
+        from fractions import Fraction
+
+        m, d = self._m, [None] * len(self._m)
+        for root in range(len(m)):
+            if d[root] is not None:
+                continue
+            d[root], stack = Fraction(1), [root]
+            while stack:
+                i = stack.pop()
+                for j, b in enumerate(m[i]):
+                    if not b:
+                        continue
+                    if b * m[j][i] >= 0:
+                        return False
+                    dj = -d[i] * b / m[j][i]
+                    if d[j] is None:
+                        d[j] = dj
+                        stack.append(j)
+                    elif d[j] != dj:
+                        return False
+        return True
+
     def validate(self) -> "ExchangeMatrix":
         if not self.is_sign_skew_symmetric():
             raise ValueError(
@@ -329,27 +382,48 @@ def a_path_matrix(n: int) -> ExchangeMatrix:
     return ExchangeMatrix([[(j == i + 1) - (j == i - 1) for j in range(n)] for i in range(n)])
 
 
+def _mutate_rows(rows, pivot, c: int, p: int = -1) -> tuple[tuple[int, ...], ...]:
+    """Rows of an extended exchange matrix [B; C] mutated in column c (0-based).
+
+    ``pivot`` is row c of B.  Row ``p`` (row c itself, when ``rows`` is B)
+    and column c flip sign; any other entry r[j] picks up
+    sgn(r[c]) * max(r[c] * pivot[j], 0) (Fomin-Zelevinsky), so a row with
+    r[c] = 0 comes back as it is.  The arithmetic runs on Python integers,
+    so it cannot wrap; a changed row with an entry outside int64 raises
+    ``ValueError``.
+    """
+    pos = [(j, y) for j, y in enumerate(pivot) if y > 0 and j != c]
+    neg = [(j, y) for j, y in enumerate(pivot) if y < 0 and j != c]
+    out = []
+    for i, r in enumerate(rows):
+        a = r[c]
+        if i == p:
+            row = [-x for x in r]
+        elif not a:
+            out.append(r)
+            continue
+        else:
+            row = list(r)
+            row[c] = -a
+            for j, y in pos if a > 0 else neg:
+                row[j] += abs(a) * y
+        if min(row) < _INT64.start or max(row) >= _INT64.stop:
+            raise ValueError("exchange matrix entries must be integers within int64")
+        out.append(tuple(row))
+    return tuple(out)
+
+
 def mutate_matrix(M: ExchangeMatrix, k: int) -> ExchangeMatrix:
     """Matrix mutation in direction k (1-based); an involution.
 
     Entries in row/column k flip sign; any other entry M[i,j] picks up
-    sgn(M[i,k]) * max(M[i,k] * M[k,j], 0) (Fomin-Zelevinsky).  The
-    arithmetic runs on Python integers, so it cannot wrap; a result entry
-    outside int64 raises ``ValueError``.
+    sgn(M[i,k]) * max(M[i,k] * M[k,j], 0) (Fomin-Zelevinsky).  A result
+    entry outside int64 raises ``ValueError``.
     """
     if not 1 <= k <= M.n:
         raise IndexError(f"direction {k} out of range 1..{M.n}")
-    c, m = k - 1, M._m
-    rows = tuple(
-        tuple(
-            -x if c in (i, j) else x + _sign(r[c]) * max(r[c] * m[c][j], 0)
-            for j, x in enumerate(r)
-        )
-        for i, r in enumerate(m)
-    )
-    if min(map(min, rows)) < _INT64.start or max(map(max, rows)) >= _INT64.stop:
-        raise ValueError("exchange matrix entries must be integers within int64")
-    return ExchangeMatrix._from_rows(rows)
+    c = k - 1
+    return ExchangeMatrix._from_rows(_mutate_rows(M._m, M._m[c], c, c))
 
 
 @dataclass(frozen=True)
@@ -368,29 +442,30 @@ def initial_seed(M: ExchangeMatrix) -> Seed:
     return Seed(cluster=initial_cluster(M.n), matrix=M)
 
 
+def _exchange(cluster: tuple[LaurentFraction, ...], rows, c: int) -> LaurentFraction:
+    """The entry replacing ``cluster[c]`` (0-based) by the exchange relation on column c."""
+    xk = cluster[c]
+    if xk.numerator.is_zero:
+        raise ZeroDivisionError("cannot mutate a seed whose active entry is zero")
+    one = LaurentFraction(_field(len(cluster)).one)
+    pos = one
+    neg = one
+    for x, row in zip(cluster, rows):
+        e = row[c]
+        if e > 0:
+            pos = pos * x**e
+        elif e < 0:
+            neg = neg * x ** (-e)
+    return (pos + neg) / xk
+
+
 def mutate_seed(seed: Seed, k: int) -> Seed:
     """Seed mutation in direction k (1-based); an involution."""
     n = seed.matrix.n
     if not 1 <= k <= n:
         raise IndexError(f"direction {k} out of range 1..{n}")
-    col = k - 1
-    xk = seed.cluster[col]
-    if xk.numerator.is_zero:
-        raise ZeroDivisionError("cannot mutate a seed whose active entry is zero")
-
-    one = LaurentFraction(_field(n).one)
-    pos = one
-    neg = one
-    for i in range(n):
-        e = seed.matrix[i, col]
-        if e > 0:
-            pos = pos * seed.cluster[i] ** e
-        elif e < 0:
-            neg = neg * seed.cluster[i] ** (-e)
-    new_entry = (pos + neg) / xk
-
     cluster = list(seed.cluster)
-    cluster[col] = new_entry
+    cluster[k - 1] = _exchange(seed.cluster, seed.matrix._m, k - 1)
     return Seed(cluster=tuple(cluster), matrix=mutate_matrix(seed.matrix, k))
 
 
@@ -419,26 +494,87 @@ class ClosureResult:
     seed_count: int
 
 
-def enumerate_cluster_variables(M0: ExchangeMatrix, cap: int = 10000) -> ClosureResult:
-    """All cluster variables reachable from the initial seed of ``M0``.
+class _FractionSeeds:
+    """Closure seeds as :class:`Seed` values, keyed by their fractions.
 
-    Seeds are deduplicated as unordered clusters with compatibly permuted
-    matrices.  If more than ``cap`` seeds appear the search stops and the
-    result carries ``cap_reached=True`` instead of failing.
+    Every step runs the exchange relation.  This is the closure of a
+    sign-skew-symmetric B that is not skew-symmetrizable, and the oracle
+    that the tests hold the g-vector closure to.
     """
-    if cap <= 0:
-        raise ValueError("cap must be positive")
-    M0.validate()
-    start = initial_seed(M0)
-    seen = {_canonical_seed_key(start)}
-    queue = deque([start])
-    found: set[LaurentFraction] = set(start.cluster)
+
+    key = staticmethod(_canonical_seed_key)
+
+    def __init__(self, M0: ExchangeMatrix):
+        self.start = initial_seed(M0)
+        self.found = set(self.start.cluster)
+
+    def step(self, seed: Seed, c: int) -> Seed:
+        return mutate_seed(seed, c + 1)
+
+    def admit(self, parent: Seed, c: int, seed: Seed) -> Seed:
+        self.found.add(seed.cluster[c])
+        return seed
+
+    def variables(self) -> frozenset:
+        return frozenset(self.found)
+
+
+class _GVectorSeeds:
+    """Closure seeds as integer triples (B, G, C), keyed by g-vectors.
+
+    G is the tuple of the seed's g-vectors and C its c-vector matrix
+    (c-vector j is column j), both the identity at the initial seed.  A
+    step builds (B', G') only; C' and, for a g-vector not met before, its
+    fraction are built when the seed is admitted.  ``fractions`` maps
+    every g-vector met to its cluster variable.
+    """
+
+    def __init__(self, M0: ExchangeMatrix):
+        eye = tuple(tuple(int(i == j) for j in range(M0.n)) for i in range(M0.n))
+        self.start = (M0._m, eye, eye)
+        self.fractions = dict(zip(eye, initial_cluster(M0.n)))
+
+    @staticmethod
+    def key(seed) -> tuple:
+        """Sorted g-vectors and B permuted to match (g-vectors of a seed are distinct)."""
+        B, G = seed[0], seed[1]
+        order = sorted(range(len(G)), key=G.__getitem__)
+        return tuple(G[i] for i in order), tuple(tuple(B[i][j] for j in order) for i in order)
+
+    def step(self, seed, c: int):
+        B, G, C = seed
+        # Sign coherence: column c of C is nonzero, its entries of one sign.
+        eps = 1 if any(r[c] > 0 for r in C) else -1
+        g = [-x for x in G[c]]
+        for gi, r in zip(G, B):
+            a = -eps * r[c]
+            if a > 0:
+                g = [x + a * y for x, y in zip(g, gi)]
+        return _mutate_rows(B, B[c], c, c), G[:c] + (tuple(g),) + G[c + 1 :]
+
+    def admit(self, parent, c: int, seed):
+        B, G, C = parent
+        B2, G2 = seed
+        if G2[c] not in self.fractions:
+            cluster = tuple(self.fractions[g] for g in G)
+            self.fractions[G2[c]] = _exchange(cluster, B, c)
+        return B2, G2, _mutate_rows(C, B[c], c)
+
+    def variables(self) -> frozenset:
+        return frozenset(self.fractions.values())
+
+
+def _closure(M0: ExchangeMatrix, cap: int, kind) -> ClosureResult:
+    """Breadth-first closure of ``kind(M0)``'s seeds; at most ``cap`` seeds are admitted."""
+    seeds = kind(M0)
+    seen = {seeds.key(seeds.start)}
+    queue = deque([seeds.start])
     cap_reached = False
     while queue:
         seed = queue.popleft()
-        for k in range(1, M0.n + 1):
-            nxt = mutate_seed(seed, k)
-            key = _canonical_seed_key(nxt)
+        for c in range(M0.n):
+            nxt = seeds.step(seed, c)
+            key = seeds.key(nxt)
             if key in seen:
                 continue
             if len(seen) >= cap:
@@ -446,11 +582,37 @@ def enumerate_cluster_variables(M0: ExchangeMatrix, cap: int = 10000) -> Closure
                 queue.clear()
                 break
             seen.add(key)
-            found.update(nxt.cluster)
-            queue.append(nxt)
+            queue.append(seeds.admit(seed, c, nxt))
     return ClosureResult(
-        variables=frozenset(found), cap_reached=cap_reached, seed_count=len(seen)
+        variables=seeds.variables(), cap_reached=cap_reached, seed_count=len(seen)
     )
+
+
+def enumerate_cluster_variables(M0: ExchangeMatrix, cap: int = 10000) -> ClosureResult:
+    """All cluster variables reachable from the initial seed of ``M0``.
+
+    Seeds are visited breadth first, directions 1..n in turn from each,
+    and deduplicated as unordered clusters with compatibly permuted
+    matrices.  Only admitted seeds contribute variables: when a new seed
+    would be the (cap + 1)-th, the search stops and the result carries
+    ``cap_reached=True`` and ``seed_count == cap`` instead of failing.
+
+    A skew-symmetrizable ``M0`` takes the g-vector closure: seeds carry
+    integer B, g-vectors and c-vectors, keyed by (sorted g-vectors,
+    permuted B), and one exchange relation is computed per new cluster
+    variable, in the admitted seed's parent, so (variables - n) in all.
+    The g-vector step needs the c-vectors to be sign-coherent, which
+    Gross-Hacking-Keel-Kontsevich (2018) prove for skew-symmetrizable B.
+    Any other sign-skew-symmetric ``M0`` falls back to the fraction
+    closure, one exchange per (seed, direction) and seeds keyed by their
+    fractions.  Both give the same variables, seed count and flag where
+    both apply.  ``cap <= 0`` or an ``M0`` that is not
+    sign-skew-symmetric raises ``ValueError``.
+    """
+    if cap <= 0:
+        raise ValueError("cap must be positive")
+    M0.validate()
+    return _closure(M0, cap, _GVectorSeeds if M0.is_skew_symmetrizable() else _FractionSeeds)
 
 
 def counting_check(n: int) -> bool:

@@ -18,6 +18,8 @@ from quiverkit import (
     mutate_matrix,
     mutate_seed,
 )
+from quiverkit import mutation
+from quiverkit.mutation import _closure, _FractionSeeds, _GVectorSeeds
 
 
 def lf(text, nvars=2):
@@ -105,6 +107,13 @@ def exchange(n, *edges):
     for i, j, a, b in edges:
         m[i - 1][j - 1], m[j - 1][i - 1] = a, -b
     return ExchangeMatrix(m)
+
+
+E_7 = exchange(
+    7, (1, 2, 1, 1), (2, 3, 1, 1), (3, 4, 1, 1), (4, 5, 1, 1), (5, 6, 1, 1), (3, 7, 1, 1)
+)
+# Sign-skew-symmetric, not skew-symmetrizable: d_1 = 2 d_2 = 6 d_3 and d_1 = d_3.
+NOT_SYMMETRIZABLE = ExchangeMatrix([[0, 1, -1], [-2, 0, 1], [1, -3, 0]])
 
 
 class TestMatrixMutation:
@@ -344,6 +353,147 @@ class TestClosure:
             enumerate_cluster_variables(ExchangeMatrix([[0, 2], [2, 0]]))
 
 
+class _CoherentGVectorSeeds(_GVectorSeeds):
+    """The g-vector closure, checking every c-vector it mutates from."""
+
+    def step(self, seed, c):
+        C = seed[2]
+        for j in range(len(C)):
+            column = [r[j] for r in C]
+            assert any(column), f"zero c-vector {j} in {C}"
+            assert min(column) >= 0 or max(column) <= 0, f"c-vector {j} of {C} is not sign-coherent"
+        return super().step(seed, c)
+
+
+class _GVectorsOnly(_CoherentGVectorSeeds):
+    """The same walk without the fractions; ``largest`` is the largest |entry| of a g-vector."""
+
+    largest = 1
+
+    def admit(self, parent, c, seed):
+        g = seed[1][c]
+        self.largest = max(self.largest, *map(abs, g))
+        self.fractions.setdefault(g, None)  # known, so no exchange is computed
+        return super().admit(parent, c, seed)
+
+
+def largest_g_entry(M, cap):
+    seeds = _GVectorsOnly(M)
+    _closure(M, cap, lambda _: seeds)
+    return seeds.largest
+
+
+def counting(monkeypatch, name):
+    """Count calls of ``mutation.<name>`` from now on."""
+    calls = []
+    original = getattr(mutation, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(mutation, name, counted)
+    return calls
+
+
+class TestGVectorClosure:
+    """The integer closure against the fraction closure it replaces."""
+
+    @given(M=skew_symmetrizable_matrices(), cap=st.integers(1, 40))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_the_fraction_closure(self, M, cap):
+        assert M.is_skew_symmetrizable()
+        # Wild rank-3 draws near cap 40 reach g-vector entries over 100,
+        # and cluster variables whose fraction closure takes from seconds
+        # to minutes; entries up to 64 keep each draw under about 0.5 s.
+        assume(largest_g_entry(M, cap) <= 64)
+        got = _closure(M, cap, _CoherentGVectorSeeds)
+        assert got == enumerate_cluster_variables(M, cap)
+        assert got == _closure(M, cap, _FractionSeeds)
+
+    @pytest.mark.parametrize("kind", [_GVectorSeeds, _FractionSeeds])
+    def test_rank_one(self, kind):
+        res = _closure(ExchangeMatrix([[0]]), 10, kind)
+        assert res.variables == {lf("u_1", 1), lf("2/u_1", 1)}
+        assert (res.seed_count, res.cap_reached) == (2, False)
+
+    @pytest.mark.parametrize("kind", [_GVectorSeeds, _FractionSeeds])
+    def test_rank_two_pentagon(self, kind):
+        res = _closure(ExchangeMatrix([[0, 1], [-1, 0]]), 10, kind)
+        assert res.variables == {
+            lf("u_1"), lf("u_2"), lf("(1+u_2)/u_1"), lf("(1+u_1)/u_2"), lf("(1+u_1+u_2)/(u_1*u_2)")
+        }
+        assert (res.seed_count, res.cap_reached) == (5, False)
+
+    @pytest.mark.parametrize(
+        "M, cap",
+        [
+            (a_path_matrix(5), 10000),
+            (a_path_matrix(5), 7),
+            (exchange(4, (1, 2, 1, 1), (2, 3, 1, 2), (3, 4, 1, 1)), 10000),
+            (exchange(2, (1, 2, 1, 3)), 10000),
+            (ExchangeMatrix([[0, 2, -2], [-2, 0, 2], [2, -2, 0]]), 20),
+        ],
+        ids=["A_5", "A_5-cap-7", "F_4", "G_2", "Markov-cap-20"],
+    )
+    def test_one_exchange_per_new_variable(self, monkeypatch, M, cap):
+        exchanges = counting(monkeypatch, "_exchange")
+        mutations = counting(monkeypatch, "mutate_seed")
+        res = enumerate_cluster_variables(M, cap)
+        assert len(exchanges) == len(res.variables) - M.n
+        assert mutations == []
+
+    def test_int64_overflow_is_an_error(self):
+        # As in the fraction closure: entry (1,3) of the mutation at 2 is 2**80.
+        big = 2**40
+        with pytest.raises(ValueError, match="within int64"):
+            enumerate_cluster_variables(ExchangeMatrix([[0, big, 0], [-big, 0, big], [0, -big, 0]]))
+
+    def test_not_skew_symmetrizable_falls_back_to_fractions(self, monkeypatch):
+        mutations = counting(monkeypatch, "mutate_seed")
+        res = enumerate_cluster_variables(NOT_SYMMETRIZABLE, cap=12)
+        assert mutations
+        assert res.cap_reached and res.seed_count == 12
+        assert res == _closure(NOT_SYMMETRIZABLE, 12, _FractionSeeds)
+
+
+class TestSkewSymmetrizable:
+    @pytest.mark.parametrize(
+        "M",
+        [
+            exchange(3, (1, 2, 1, 2), (2, 3, 1, 1)),
+            exchange(3, (1, 2, 2, 1), (2, 3, 1, 1)),
+            exchange(2, (1, 2, 1, 3)),
+            exchange(4, (1, 2, 1, 1), (2, 3, 1, 2), (3, 4, 1, 1)),
+            ExchangeMatrix([[0]]),
+            ExchangeMatrix([[0, 0], [0, 0]]),
+            ExchangeMatrix([[0, 2, -2], [-2, 0, 2], [2, -2, 0]]),
+        ],
+        ids=["B_3", "C_3", "G_2", "F_4", "A_1", "A_1xA_1", "Markov"],
+    )
+    def test_symmetrizable(self, M):
+        assert M.is_skew_symmetrizable()
+
+    @pytest.mark.parametrize(
+        "M",
+        [
+            NOT_SYMMETRIZABLE,
+            ExchangeMatrix([[0, 1], [1, 0]]),  # not sign-skew-symmetric
+            ExchangeMatrix([[0, 1], [0, 0]]),
+            ExchangeMatrix([[1]]),
+        ],
+    )
+    def test_not_symmetrizable(self, M):
+        assert not M.is_skew_symmetrizable()
+
+    @given(M=skew_symmetrizable_matrices())
+    @settings(max_examples=60, deadline=None)
+    def test_strategy_matrices_and_their_mutations(self, M):
+        assert M.is_skew_symmetrizable()
+        for k in range(1, M.n + 1):
+            assert mutate_matrix(M, k).is_skew_symmetrizable()
+
+
 class TestFiniteTypeCounts:
     """Variable and cluster counts of Fomin-Zelevinsky, Cluster algebras II."""
 
@@ -389,6 +539,7 @@ class TestFiniteTypeCounts:
                 exchange(4, (1, 2, 1, 1), (2, 3, 1, 2), (3, 4, 1, 1)), 28, 105, id="F_4"
             ),
             pytest.param(exchange(2, (1, 2, 1, 3)), 8, 8, id="G_2"),
+            pytest.param(E_7, 70, 4160, id="E_7"),
         ],
     )
     def test_other_types(self, M, n_vars, n_clusters):
