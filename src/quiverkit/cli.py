@@ -11,6 +11,7 @@ the ``verify`` checks that mutate, load it.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -181,14 +182,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, default=1)
     add_common(p)
-    p.set_defaults(fn=_cmd_gamma)
 
     p = sub.add_parser("power", help="m-th power of gamma(n,1)")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--components", action="store_true", help="emit the decomposition")
     add_common(p)
-    p.set_defaults(fn=_cmd_power)
 
     p = sub.add_parser("classify", help="match power components to orbit quotients")
     p.add_argument("--n", type=int, required=True)
@@ -196,7 +195,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report", choices=("json", "text"), default="text")
     p.add_argument("--cap", type=int, default=None, help="vertex cap override")
     p.add_argument("--out", default=None)
-    p.set_defaults(fn=_cmd_classify)
 
     p = sub.add_parser("mutate", help="mutate a seed or enumerate cluster variables")
     p.add_argument("--matrix", required=True, help="JSON rows, e.g. [[0,1],[-1,0]]")
@@ -204,37 +202,39 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--enumerate", action="store_true")
     p.add_argument("--cap", type=int, default=10000, help="seed cap for --enumerate")
     p.add_argument("--out", default=None)
-    p.set_defaults(fn=_cmd_mutate)
 
     p = sub.add_parser("angulations", help="maximal non-crossing diagonal collections")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, default=1)
     p.add_argument("--cap", type=int, default=None, help="polygon size cap override")
     p.add_argument("--out", default=None)
-    p.set_defaults(fn=_cmd_angulations)
 
     p = sub.add_parser("orbit", help="quotient of the k-row strip by tau^-s ∘ [r]")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--s", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
     add_common(p)
-    p.set_defaults(fn=_cmd_orbit)
 
     p = sub.add_parser("verify", help="run the named acceptance checks")
     p.add_argument("--only", default=None, help="substring filter on check names")
     p.add_argument("--seed", type=int, default=2024)
     p.add_argument("--out", default=None)
-    p.set_defaults(fn=_cmd_verify)
 
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of :func:`main`, built on its first call and kept."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         default_vertex_cap()  # a malformed QUIVERKIT_CAP fails every command alike
-        return args.fn(args)
+        # Looked up by name on each call, so a rebound _cmd_* is the one that runs.
+        return globals()["_cmd_" + args.command](args)
     except SizeCapError as exc:
         sys.stderr.write(f"size cap: {exc}\n")
         return 3

@@ -60,6 +60,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
+from math import comb
 from typing import TYPE_CHECKING
 
 from .polygon import gamma
@@ -616,16 +617,20 @@ def enumerate_cluster_variables(M0: ExchangeMatrix, cap: int = 10000) -> Closure
 
 
 def counting_check(n: int) -> bool:
-    """Compare the type-A_n variable count with the diagonal count of an (n+3)-gon.
+    """Compare type A_n's cluster variables and clusters with the (n+3)-gon.
 
     Both sides are computed independently: breadth-first mutation closure
-    on one side, the diagonal quiver of the polygon on the other.
+    on one side, the diagonal quiver of the polygon on the other.  The
+    variables must match the diagonals and the clusters the triangulations,
+    of which there are Catalan(n+1); the closure's seed cap is set to that
+    number, so it is reached only if the closure finds more clusters.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got n={n}")
-    if n > 6:
-        raise ValueError("counting check is a desk-scale operation (n <= 6)")
-    closure = enumerate_cluster_variables(a_path_matrix(n))
-    if closure.cap_reached:
-        return False
-    return len(closure.variables) == len(gamma(n + 1, 1).vertices)
+    triangulations = comb(2 * n + 2, n + 1) // (n + 2)
+    closure = enumerate_cluster_variables(a_path_matrix(n), cap=triangulations)
+    return (
+        not closure.cap_reached
+        and closure.seed_count == triangulations
+        and len(closure.variables) == len(gamma(n + 1, 1).vertices)
+    )

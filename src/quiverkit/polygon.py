@@ -7,12 +7,16 @@ stored canonically as ``(i, j)`` with ``i < j``.  Inside an
 into an (m*j + 2)-gon and an (m*(n-j) + 2)-gon; their quiver
 ``gamma(n, m)`` has arrows ``(i,j) -> (i,j+m)`` and ``(i,j) -> (i+m,j)``
 whenever the image is again such a diagonal (labels modulo N) and the
-translation subtracts m from both coordinates.  Maximal pairwise
-non-crossing collections of these diagonals are the (m+2)-angulations of
-the polygon; for m = 1 they are the triangulations.  They are listed by
-recursing on the (m+2)-gon cell over a side, the decomposition that
-proves their Fuss-Catalan count ``binom((m+1)n, n-1) / n`` (the Catalan
-numbers for m = 1).
+translation subtracts m from both coordinates.  One builder makes these
+quivers for every step: ``gamma(n, m)`` is a :class:`DiagonalQuiver`
+with step m, and :func:`~quiverkit.power.power` turns a diagonal quiver
+with step s into the one with step s*k on the same vertices.
+
+Maximal pairwise non-crossing collections of these diagonals are the
+(m+2)-angulations of the polygon; for m = 1 they are the triangulations.
+They are listed by recursing on the (m+2)-gon cell over a side, the
+decomposition that proves their Fuss-Catalan count
+``binom((m+1)n, n-1) / n`` (the Catalan numbers for m = 1).
 
 All arithmetic uses representatives 1..N (never 0) so results line up
 with hand-labeled pictures.
@@ -110,7 +114,44 @@ def row_of(d: tuple[int, int], N: int) -> int:
     return g - 1
 
 
-def gamma(n: int, m: int = 1) -> TranslationQuiver:
+class DiagonalQuiver(TranslationQuiver):
+    """A translation quiver of diagonals of the N-gon whose arrows move one end ``step`` on.
+
+    Built only by :func:`gamma` and by :func:`~quiverkit.power.power` of
+    such a quiver; its vertex set is closed under moving an end of a
+    diagonal ``step`` labels on while the result is a diagonal.
+    """
+
+    __slots__ = ("N", "step")
+
+    def __init__(self, quiver: Quiver, tau: dict, N: int, step: int):
+        super().__init__(quiver, tau)
+        self.N, self.step = N, step
+
+
+def _diagonal_quiver(N: int, step: int, verts: list[Diagonal], rank: dict) -> DiagonalQuiver:
+    """Arrows ``(i,j) -> (i,j+step)`` and ``(i,j) -> (i+step,j)`` on ``verts``, tau back by step.
+
+    The first arrow exists iff ``j - i + step <= N - 2`` (folded to
+    ``(j+step-N, i)`` past N), the second iff ``j - i >= step + 2``.  Tau
+    is ``(i-step, j-step)`` with both ends folded into 1..N, then ordered.
+    ``verts`` come in ``rank`` order, which ranks every end; each source's
+    first target sorts before its second, so the arrows come in order too.
+    """
+    arrows = []
+    tau = {}
+    for d in verts:
+        i, j = d
+        if j - i + step <= N - 2:
+            arrows.append((d, (i, j + step) if j + step <= N else (j + step - N, i)))
+        if j - i >= step + 2:
+            arrows.append((d, (i + step, j)))
+        a, b = (i - step - 1) % N + 1, (j - step - 1) % N + 1
+        tau[d] = (a, b) if a < b else (b, a)
+    return DiagonalQuiver(Quiver._listed(verts, arrows, rank), tau, N, step)
+
+
+def gamma(n: int, m: int = 1) -> DiagonalQuiver:
     """The stable translation quiver of m-divisible diagonals of the (n*m+2)-gon.
 
     Arrows go ``(i,j) -> (i,j+m)`` and ``(i,j) -> (i+m,j)`` whenever the image
@@ -122,18 +163,8 @@ def gamma(n: int, m: int = 1) -> TranslationQuiver:
         raise ValueError(f"need n >= 2, got n={n}")
     if m < 1:
         raise ValueError(f"need m >= 1, got m={m}")
-    N = n * m + 2
     verts = m_diagonals(n, m)
-    arrows = []
-    tau = {}
-    for d in verts:
-        i, j = d
-        if j - i <= m * (n - 2) + 1:
-            arrows.append((d, (i, j + m) if j + m <= N else (j + m - N, i)))
-        if j - i > 2 * m:
-            arrows.append((d, (i + m, j)))
-        tau[d] = (i - m, j - m) if i > m else (j - m, i - m + N)
-    return TranslationQuiver(Quiver(verts, arrows), tau)
+    return _diagonal_quiver(n * m + 2, m, verts, {d: r for r, d in enumerate(verts)})
 
 
 def enumerate_angulations(

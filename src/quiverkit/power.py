@@ -4,20 +4,27 @@ A path ``x_0 -> x_1 -> ... -> x_L`` is *sectional* if at every interior
 step ``tau(x_{i+1}) != x_{i-1}`` (checked only where tau is defined).
 The m-th power of a translation quiver keeps the vertices, takes the
 sectional paths of length m as arrows (with multiplicity the number of
-such paths) and composes the translation with itself m times.
-:func:`power` counts these paths per last arrow and does not list them
-(:func:`sectional_paths` does).  Powers of a connected quiver are usually
-disconnected; :func:`~quiverkit.quiver.split_components` splits them into
-component translation quivers.
+such paths) and composes the translation with itself m times.  For most
+inputs :func:`power` counts these paths per last arrow and does not list
+them (:func:`sectional_paths` does).  Powers of a connected quiver are
+usually disconnected; :func:`~quiverkit.quiver.split_components` splits
+them into component translation quivers.
 
-In the diagonal quiver ``gamma(N-2, 1)`` of an N-gon the sectional paths
-are the straight ones: a sectional path of length m from ``(i, j)`` ends
-at ``(i, j+m)`` or ``(i+m, j)`` (labels modulo N), and the m-th power
-translates by ``(i-m, j-m)``.  Those are the arrows and the translation
-of ``gamma(n, m)`` when ``N = n*m + 2``, so the component of the m-th
-power that holds the m-diagonals is ``gamma(n, m)`` label for label, and
-:func:`principal_component` checks it by equality, not by an
-isomorphism search.
+A diagonal quiver of an N-gon with step s (``gamma(n, s)``, or a power
+of one) has the arrows ``(i, j) -> (i, j+s)`` and ``(i, j) -> (i+s, j)``
+and the translation ``(i-s, j-s)``, labels modulo N.  A path that moves
+one end and then the other, ``(i, j) -> (i, j+s) -> (i+s, j+s)``, ends at
+a vertex whose translate is its start, so the sectional paths are the
+straight ones: a sectional path of length k from ``(i, j)`` ends at
+``(i, j+s*k)`` or ``(i+s*k, j)``, and the k-th power is the diagonal
+quiver with step ``s*k`` on the same vertices.  :func:`power` builds it
+in that closed form; orbit quotients, split parts and hand-built quivers
+take the path count, which stays the oracle for the closed form.  In
+particular the m-th power of ``gamma(N-2, 1)`` has the arrows and the
+translation of ``gamma(n, m)`` on the m-diagonals when ``N = n*m + 2``,
+so its component that holds them is ``gamma(n, m)`` label for label, and
+:func:`principal_component` checks it by equality, not by an isomorphism
+search.
 """
 
 from __future__ import annotations
@@ -28,8 +35,8 @@ from .errors import QuiverkitError, SizeCapError
 # holders of the search that its tracer rebinds; drop this import together
 # with "power" from that list.
 from .iso import iso_translation_quivers  # noqa: F401
-from .polygon import gamma
-from .quiver import TranslationQuiver, Vertex, split_components
+from .polygon import DiagonalQuiver, _diagonal_quiver, gamma
+from .quiver import Quiver, TranslationQuiver, Vertex, split_components
 
 Path = tuple[Vertex, ...]
 
@@ -95,12 +102,22 @@ def power(tq: TranslationQuiver, m: int) -> TranslationQuiver:
 
     Arrow multiplicity equals the number of sectional paths between the
     endpoints; the translation is the m-fold composite.  For a stable
-    input the result is stable again.
+    input the result is stable again.  A diagonal quiver (built by
+    :func:`~quiverkit.polygon.gamma` or by a power of one) takes the
+    closed form of the module docstring and gives a diagonal quiver
+    again; every other input takes the path count.
     """
     if m < 1:
         raise ValueError(f"need m >= 1, got m={m}")
+    if isinstance(tq, DiagonalQuiver):
+        return _diagonal_quiver(tq.N, tq.step * m, tq.sorted_vertices(), tq.quiver._rank)
+    return _count_sectional(tq, m)
+
+
+def _count_sectional(tq: TranslationQuiver, m: int) -> TranslationQuiver:
+    """The m-th power of any translation quiver, by counting sectional paths per last arrow."""
     q = tq.quiver
-    out, tau_of = q.out, tq.tau_of
+    out, tau_of, rank = q.out, tq.tau_of, q._rank.__getitem__
     arrows: list[tuple[Vertex, Vertex]] = []
     for start in q.sorted_vertices():
         # (prev, cur) -> number of sectional paths from start ending in the arrow
@@ -114,8 +131,12 @@ def power(tq: TranslationQuiver, m: int) -> TranslationQuiver:
                     if back is None or back != prev:
                         step[cur, nxt] = step.get((cur, nxt), 0) + count * mult
             ends = step
-        arrows += [(start, end) for (_, end), count in ends.items() for _ in range(count)]
-    return TranslationQuiver(q._derive(tq.vertices, arrows), compose_tau(tq, m))
+        paths: dict[Vertex, int] = {}
+        for (_, end), count in ends.items():
+            paths[end] = paths.get(end, 0) + count
+        arrows += [(start, end) for end in sorted(paths, key=rank) for _ in range(paths[end])]
+    listed = Quiver._listed(q.sorted_vertices(), arrows, q._rank)
+    return TranslationQuiver(listed, compose_tau(tq, m))
 
 
 def _gamma_power_components(

@@ -13,13 +13,14 @@ their natural order so that every listing in the package is
 deterministic.  All structures are immutable after construction, so they
 are safe to share between threads.
 
-This module is the only place that orders vertices: ``sorted_vertices()``,
-``arrows`` and the pairs of ``out``/``into`` follow :func:`vertex_key`
-(arrows by source, then target), and ``tau`` the order of its domain.
-The order is computed once per vertex universe: the :class:`Quiver`
-constructor ranks vertices and arrow ends by :func:`vertex_key`, and its
-powers and the parts of :func:`split_components` inherit that rank (a
-fresh sort's order, as the key is injective).  Downstream code reads
+``sorted_vertices()``, ``arrows`` and the pairs of ``out``/``into``
+follow :func:`vertex_key` (arrows by source, then target), and ``tau``
+the order of its domain.  The order is computed once per vertex
+universe: the :class:`Quiver` constructor ranks vertices and arrow ends
+by :func:`vertex_key`, and its powers and the parts of
+:func:`split_components` inherit that rank (a fresh sort's order, as the
+key is injective).  Their builders hand ``Quiver._listed`` listings
+already in rank order, and it sorts nothing.  Downstream code reads
 these listings as they are.  Indexes behind ``arrow_count`` and
 ``out``/``into`` are built on first use; threads racing on a first call
 build equal indexes, so sharing stays safe.
@@ -74,18 +75,23 @@ class Quiver:
         vertices = frozenset(vertices)
         arrows = [(s, t) for s, t in arrows]
         ends = sorted(vertices.union(*arrows), key=vertex_key)
-        self._order(vertices, arrows, {v: i for i, v in enumerate(ends)})
-
-    def _derive(self, vertices: frozenset, arrows: list[Arrow]) -> Quiver:
-        """A power or part of this quiver, ordered by its rank, which must rank every end."""
-        return Quiver.__new__(Quiver)._order(vertices, arrows, self._rank)
-
-    def _order(self, vertices: frozenset, arrows: list[Arrow], rank: dict) -> Quiver:
-        """Store the listings, ordered by ``rank`` (ends -> position in vertex_key order)."""
+        rank = {v: i for i, v in enumerate(ends)}
         self._vertices, self._rank, self._index = vertices, rank, None
-        self._sorted = tuple(sorted(vertices, key=rank.__getitem__))
+        self._sorted = tuple(v for v in ends if v in vertices)
         self._arrows = tuple(sorted(arrows, key=lambda a: (rank[a[0]], rank[a[1]])))
-        return self
+
+    @staticmethod
+    def _listed(vertices: list[Vertex], arrows: list[Arrow], rank: dict) -> Quiver:
+        """A quiver whose vertices and arrows come in ``rank`` order, which ranks every end.
+
+        ``rank`` maps ends to their positions in :func:`vertex_key` order,
+        e.g. the rank of the quiver a power or a part is derived from;
+        nothing is sorted here.
+        """
+        q = Quiver.__new__(Quiver)
+        q._vertices, q._rank, q._index = frozenset(vertices), rank, None
+        q._sorted, q._arrows = tuple(vertices), tuple(arrows)
+        return q
 
     def _indexes(self) -> tuple[Counter, dict, dict]:
         """Arrow counts and ``out``/``into`` pairs, built on the first query."""
@@ -337,11 +343,15 @@ def split_components(tq: TranslationQuiver) -> list[TranslationQuiver]:
     classes tied together by the translation (the diagonals of a square)
     stay in one piece, and tau never leaves a component.  Arrows and tau
     pairs with an end outside the vertex set belong to no part.  One scan
-    gives each remaining arrow and tau pair to the component of its ends.
+    of the sorted vertices, and one of the arrows and tau pairs, give each
+    part its listings in the parent's order, so no part is sorted again.
     """
     comps = connected_components(tq)
     part = {v: i for i, comp in enumerate(comps) for v in comp}
+    verts: list[list[Vertex]] = [[] for _ in comps]
     arrows: list[list[Arrow]] = [[] for _ in comps]
+    for v in tq.sorted_vertices():
+        verts[part[v]].append(v)
     taus: list[dict] = [{} for _ in comps]
     for s, t in tq.arrows:
         if s in part and t in part:
@@ -349,7 +359,10 @@ def split_components(tq: TranslationQuiver) -> list[TranslationQuiver]:
     for y, ty in tq.tau.items():
         if y in part and ty in part:
             taus[part[y]][y] = ty
-    return [TranslationQuiver(tq.quiver._derive(c, a), t) for c, a, t in zip(comps, arrows, taus)]
+    rank = tq.quiver._rank
+    return [
+        TranslationQuiver(Quiver._listed(v, a, rank), t) for v, a, t in zip(verts, arrows, taus)
+    ]
 
 
 def tau_orbits(tq: TranslationQuiver) -> list[tuple[Vertex, ...]]:

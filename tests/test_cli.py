@@ -393,6 +393,26 @@ _argv = st.one_of(
 )
 
 
+class TestParser:
+    def test_built_on_first_call_and_kept(self):
+        proc = _fresh_python(
+            "from quiverkit import cli\n"
+            "print(cli._parser.cache_info().currsize)\n"
+            "cli.main(['gamma', '--n', '3', '--out', '/dev/null'])\n"
+            "cli.main(['gamma', '--n', '4', '--out', '/dev/null'])\n"
+            "print(cli._parser.cache_info().misses)\n"
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["0", "1"]
+
+    def test_a_rebound_command_runs(self, capsys, monkeypatch):
+        from quiverkit import cli
+
+        assert run(capsys, "orbit", "--k", "3", "--s", "2", "--r", "1")[0] == 0
+        monkeypatch.setattr(cli, "_cmd_orbit", lambda args: 4)
+        assert run(capsys, "orbit", "--k", "3", "--s", "2", "--r", "1")[0] == 4
+
+
 class TestArgvFuzz:
     @given(argv=_argv, out=st.sampled_from([None, "file", "missing-dir", "directory"]))
     @settings(max_examples=120, deadline=None)

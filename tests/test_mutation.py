@@ -1,5 +1,6 @@
 """Exchange matrices, seeds, fraction arithmetic and closures."""
 
+import dataclasses
 from fractions import Fraction
 from math import comb
 
@@ -603,8 +604,23 @@ class TestLaurentPhenomenon:
 
 class TestCounting:
     def test_counts_match_polygon_diagonals(self):
-        for n in (1, 2, 3, 6):
+        # n = 7 has 429 clusters, more than n <= 6 ever reached; the seed cap
+        # is the triangulation count, not the closure's default.
+        for n in (1, 2, 3, 6, 7):
             assert counting_check(n)
+
+    @pytest.mark.parametrize("flaw", ["cap one short", "one cluster short"])
+    def test_cluster_count_is_checked(self, monkeypatch, flaw):
+        real = mutation.enumerate_cluster_variables
+
+        def flawed(M, cap):
+            if flaw == "cap one short":
+                return real(M, cap - 1)
+            res = real(M, cap)
+            return dataclasses.replace(res, seed_count=res.seed_count - 1)
+
+        monkeypatch.setattr(mutation, "enumerate_cluster_variables", flawed)
+        assert not counting_check(5)
 
     def test_explicit_counts(self):
         res = enumerate_cluster_variables(a_path_matrix(2))
@@ -613,5 +629,5 @@ class TestCounting:
     def test_range_guard(self):
         with pytest.raises(ValueError):
             counting_check(0)
-        with pytest.raises(ValueError):
-            counting_check(7)
+        # No upper bound: n = 7 runs instead of being refused.
+        assert counting_check(7)

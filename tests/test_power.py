@@ -1,5 +1,6 @@
 """Sectional paths, quiver powers and their decomposition."""
 
+import importlib
 import os
 import subprocess
 import sys
@@ -19,6 +20,7 @@ from quiverkit import (
     gamma,
     is_sectional,
     iso_translation_quivers,
+    orbit_quiver,
     power,
     principal_component,
     sectional_paths,
@@ -26,7 +28,8 @@ from quiverkit import (
     validate_translation_quiver,
     vertex_key,
 )
-from quiverkit.verify import _theorem_pairs
+from quiverkit.polygon import DiagonalQuiver
+from quiverkit.verify import _theorem_pairs, check_power_theorem_sweep
 
 
 def brute_sectional_count(tq, src, tgt, length):
@@ -140,6 +143,59 @@ class TestPower:
             assert len(set(pw.arrows)) == len(pw.arrows)
 
 
+def _listings(tq):
+    return tq.sorted_vertices(), tq.arrows, list(tq.tau.items())
+
+
+class TestClosedForm:
+    """Powers of diagonal quivers in closed form, against the path count on a plain copy."""
+
+    def test_equals_the_path_count_on_a_plain_copy(self):
+        # Every gamma(n, s) of a polygon with at most 40 vertices.
+        for s in range(1, 20):
+            for n in range(2, 38 // s + 1):
+                g = gamma(n, s)
+                plain = TranslationQuiver(g.quiver, g.tau)
+                for k in range(1, 9):
+                    # __eq__ ignores the order of tau, so compare the listings.
+                    assert _listings(power(g, k)) == _listings(power(plain, k)), (n, s, k)
+
+    def test_power_is_a_diagonal_quiver_with_the_product_step(self):
+        for n, s, k in ((5, 1, 3), (4, 3, 2), (12, 2, 7)):
+            pw = power(gamma(n, s), k)
+            assert isinstance(pw, DiagonalQuiver)
+            assert (pw.N, pw.step) == (n * s + 2, s * k)
+            again = power(pw, 2)
+            assert isinstance(again, DiagonalQuiver) and again.step == 2 * s * k
+            plain = TranslationQuiver(pw.quiver, pw.tau)
+            assert _listings(again) == _listings(power(plain, 2))
+
+    def test_translation_folds_both_ends_past_the_step(self):
+        # The step 5 exceeds both ends of (1,3) in the 11-gon: tau^5 of gamma(9,1).
+        pw = power(gamma(9, 1), 5)
+        assert pw.tau_of((1, 3)) == (7, 9) == compose_tau(gamma(9, 1), 5)[1, 3]
+
+    def test_other_inputs_take_the_path_count(self, monkeypatch):
+        module = importlib.import_module("quiverkit.power")
+        count, walked = module._count_sectional, []
+
+        def spy(tq, m):
+            walked.append(tq)
+            return count(tq, m)
+
+        monkeypatch.setattr(module, "_count_sectional", spy)
+        power(gamma(6, 1), 2)
+        assert walked == []
+        quotient = orbit_quiver(3, 2, 1).quotient
+        part = split_components(power(gamma(6, 1), 2))[0]
+        hand_built = TranslationQuiver(gamma(5, 1).quiver, gamma(5, 1).tau)
+        for tq in (quotient, part, hand_built):
+            pw = power(tq, 2)
+            assert not isinstance(pw, DiagonalQuiver)
+            assert Counter(pw.arrows) == Counter((p[0], p[-1]) for p in sectional_paths(tq, 2))
+        assert walked == [quotient, part, hand_built]
+
+
 class TestDecompose:
     def test_first_power_of_connected_quiver_is_one_piece(self):
         comps = split_components(power(gamma(4, 1), 1))
@@ -214,6 +270,19 @@ class TestPrincipalComponent:
             capture_output=True, text=True, env=env, timeout=120, check=True,
         )
         assert proc.stdout.startswith("False failed at (n,m)=(2,1): component"), proc.stdout
+
+    def test_sweep_compares_the_closed_form_with_the_path_count(self, monkeypatch):
+        module = importlib.import_module("quiverkit.power")
+        closed_form = module._diagonal_quiver
+
+        def fixed_first_vertex(N, step, verts, rank):
+            tq = closed_form(N, step, verts, rank)
+            return TranslationQuiver(tq.quiver, {**tq.tau, verts[0]: verts[0]})
+
+        monkeypatch.setattr(module, "_diagonal_quiver", fixed_first_vertex)
+        ok, detail = check_power_theorem_sweep()
+        assert not ok
+        assert detail == "power(gamma(2,1), 1) differs from its sectional-path count"
 
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
