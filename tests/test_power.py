@@ -9,7 +9,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_quiver import mixed_translation_quivers
+from test_quiver import _listings, mixed_translation_quivers
 
 import quiverkit
 from quiverkit import (
@@ -141,10 +141,6 @@ class TestPower:
         for n, m in ((6, 2), (6, 3), (10, 2)):
             pw = power(gamma(n, 1), m)
             assert len(set(pw.arrows)) == len(pw.arrows)
-
-
-def _listings(tq):
-    return tq.sorted_vertices(), tq.arrows, list(tq.tau.items())
 
 
 class TestClosedForm:
