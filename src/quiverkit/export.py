@@ -3,8 +3,11 @@
 Each JSON writer returns exactly ``json.dumps(<dict form>, indent=2) + "\\n"``,
 the dict form of a quiver being :func:`quiver_json_dict` after any extra keys.
 As indenting keeps ``json`` off its C encoder, the writers join the lists from
-labels rendered and escaped once per quiver.  Extra values are dumped and
-indented one level, which is exact: ``json`` puts no raw newline in a string.
+labels rendered and escaped once per quiver.  Each writer first renders the
+labels of the sorted vertices in one pass, then looks up arrow and tau ends;
+only an end that is not a vertex is rendered at its first lookup.  Extra values
+are dumped and indented one level, which is exact: ``json`` puts no raw newline
+in a string.
 """
 
 from __future__ import annotations
@@ -44,6 +47,14 @@ class _Rendered(dict):
         return self.setdefault(key, self.render(key))
 
 
+def _labels(q: Quiver, render) -> _Rendered:
+    """``render`` of each vertex, entered in sorted order; other ends render on lookup."""
+    vertices = q.sorted_vertices()
+    lab = _Rendered(render)
+    lab.update(zip(vertices, map(render, vertices)))
+    return lab
+
+
 def _join(items: list[str] | dict[str, str], depth: int) -> str:
     """A JSON array of rendered items, or object of encoded keys and rendered values."""
     brackets = "[]"
@@ -64,10 +75,10 @@ def _document(extra: dict, members: dict[str, str]) -> str:
 def _quiver_members(tq: TranslationQuiver | Quiver, depth: int) -> dict[str, str]:
     """The rendered members of :func:`quiver_json_dict` in an object at ``depth``."""
     q, tau = (tq, {}) if isinstance(tq, Quiver) else (tq.quiver, tq.tau)
-    lab = _Rendered(lambda v: _encode(vertex_label(v)))
+    lab = _labels(q, lambda v: _encode(vertex_label(v)))
     arrow = _join(["%s", "%s"], depth + 2)
     return {
-        '"vertices"': _join([lab[v] for v in q.sorted_vertices()], depth + 1),
+        '"vertices"': _join(list(lab.values()), depth + 1),
         '"arrows"': _join([arrow % (lab[s], lab[t]) for s, t in q.arrows], depth + 1),
         # A dict first, so that equal labels collapse as in the dict form.
         '"tau"': _join({lab[y]: lab[ty] for y, ty in tau.items()}, depth + 1),
@@ -88,7 +99,12 @@ def components_json(parts: list[TranslationQuiver], /, **extra) -> str:
 def angulations_json(found: list[tuple[tuple[int, int], ...]], /, **extra) -> str:
     """JSON text of the extra keys and ``"angulations"``, each a list of ``[i, j]``."""
     diagonal = _Rendered(lambda d: _join([json.dumps(i) for i in d], 3))
-    angulations = [_join([diagonal[d] for d in coll], 2) for coll in found]
+    # _join(..., 2) of each angulation, its pads made once.
+    open_, sep, close = "[\n      ", ",\n      ", "\n    ]"
+    angulations = [
+        open_ + sep.join(map(diagonal.__getitem__, coll)) + close if coll else "[]"
+        for coll in found
+    ]
     return _document(extra, {'"angulations"': _join(angulations, 1)})
 
 
@@ -100,9 +116,9 @@ def _dot_id(v) -> str:
 def to_dot(tq: TranslationQuiver | Quiver, name: str = "quiver") -> str:
     """One digraph; solid arrows, dashed ``tau`` edges from y to tau(y)."""
     q, tau = (tq, {}) if isinstance(tq, Quiver) else (tq.quiver, tq.tau)
-    lab = _Rendered(_dot_id)
+    lab = _labels(q, _dot_id)
     lines = [f"digraph {name} {{"]
-    lines += [f"  {lab[v]};" for v in q.sorted_vertices()]
+    lines += [f"  {v};" for v in lab.values()]
     lines += [f"  {lab[s]} -> {lab[t]};" for s, t in q.arrows]
     lines += [f'  {lab[y]} -> {lab[ty]} [style=dashed, label="tau"];' for y, ty in tau.items()]
     return "\n".join(lines) + "\n}\n"

@@ -127,7 +127,11 @@ def orbit_quiver(k: int, s: int, r: int) -> OrbitQuiver:
     Vertices are labeled by canonical orbit representatives ``(p, i)``
     with ``p >= 0`` minimal along the orbit, computed in closed form from
     the normal form ``tau^-S ∘ [rho]`` (see the module docstring); arrows
-    and the translation are induced from the strip.
+    and the translation are induced from the strip.  The representatives
+    are listed in :func:`~quiverkit.quiver.vertex_key` order (slice ``p``,
+    then row ``i``) and ranked by position, each one's (at most two) arrow
+    targets are ordered by that rank, and the listings go to
+    ``Quiver._listed`` as they are, without a sort.
     """
     rule = ZARule(k)
     if s < 0 or r < 0:
@@ -142,15 +146,18 @@ def orbit_quiver(k: int, s: int, r: int) -> OrbitQuiver:
         q = p - S - rho * (k + 1 - i)  # >= 0 only for rho = 1
         return (q, k + 1 - i) if q >= 0 else (p, i)
 
-    reps = [(p, i) for i in range(1, k + 1) for p in range(S + rho * (k + 1 - i))]
+    # Row i holds p < S + rho*(k+1-i): each slice p < S holds every row, and
+    # for rho = 1 each slice p >= S the rows i <= S + k - p.
+    reps = [(p, i) for p in range(S + rho * k) for i in range(1, min(k, S + k - p) + 1)]
+    rank = {v: n for n, v in enumerate(reps)}
     arrows = []
     tau = {}
     for c in reps:
-        for t in rule.arrows_from(c):
-            arrows.append((c, normalize(t)))
+        ends = [normalize(t) for t in rule.arrows_from(c)]
+        arrows += [(c, t) for t in sorted(ends, key=rank.__getitem__)]
         tau[c] = normalize(rule.tau(c))
 
-    quotient = TranslationQuiver(Quiver(reps, arrows), tau)
+    quotient = TranslationQuiver(Quiver._listed(reps, arrows, rank), tau)
     return OrbitQuiver(k=k, quotient=quotient)
 
 

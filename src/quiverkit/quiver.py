@@ -19,11 +19,14 @@ the order of its domain.  The order is computed once per vertex
 universe: the :class:`Quiver` constructor ranks vertices and arrow ends
 by :func:`vertex_key`, and its powers and the parts of
 :func:`split_components` inherit that rank (a fresh sort's order, as the
-key is injective).  Their builders hand ``Quiver._listed`` listings
-already in rank order, and it sorts nothing.  Downstream code reads
-these listings as they are.  Indexes behind ``arrow_count`` and
-``out``/``into`` are built on first use; threads racing on a first call
-build equal indexes, so sharing stays safe.
+key is injective).  Diagonal quivers and orbit quotients are built in
+rank order from the start: :func:`~quiverkit.polygon.gamma` lists its
+diagonals, and :func:`~quiverkit.orbit.orbit_quiver` its representatives
+slice by slice, already sorted.  All these builders hand
+``Quiver._listed`` listings in rank order, and it sorts nothing.
+Downstream code reads these listings as they are.  Indexes behind
+``arrow_count`` and ``out``/``into`` are built on first use; threads
+racing on a first call build equal indexes, so sharing stays safe.
 """
 
 from __future__ import annotations
@@ -299,41 +302,66 @@ def validate_translation_quiver(tq: TranslationQuiver) -> ValidationResult:
     return ValidationResult(ok=not violations, stable=tq.is_stable, violations=tuple(violations))
 
 
+def _component_parts(
+    q: Quiver | TranslationQuiver,
+) -> tuple[dict[Vertex, int], list[list[Vertex]]]:
+    """The vertex -> part map, and each part's sorted vertices, in component order.
+
+    A tau pair never leaves a component, so each unlabelled vertex, taken
+    in sorted order, starts a chain that follows tau while it meets new
+    vertices; a chain that runs into an earlier one is united with it.
+    The chains are then united over the arrows in a small union-find.
+    """
+    quiver, tau = (q, {}) if isinstance(q, Quiver) else (q.quiver, q._tau)
+    vertices = quiver._vertices
+    chain: dict[Vertex, int] = {}
+    parent: list[int] = []
+
+    def find(c: int) -> int:
+        while parent[c] != c:
+            parent[c] = parent[parent[c]]
+            c = parent[c]
+        return c
+
+    for v in quiver._sorted:
+        if v in chain:
+            continue
+        c = len(parent)
+        parent.append(c)
+        while True:
+            chain[v] = c
+            if v not in tau or (v := tau[v]) not in vertices:
+                break
+            if v in chain:
+                parent[c] = find(chain[v])
+                break
+    for a, b in {(chain.get(s), chain.get(t)) for s, t in quiver._arrows}:
+        if a is not None and b is not None:
+            parent[find(a)] = find(b)
+    root = [find(c) for c in range(len(parent))]
+    members: dict[int, list[Vertex]] = {}
+    for v in quiver._sorted:
+        members.setdefault(root[chain[v]], []).append(v)
+    # Roots come in order of their least vertex; the sort by size is stable.
+    roots = sorted(members, key=lambda r: len(members[r]), reverse=True)
+    index = {r: i for i, r in enumerate(roots)}
+    part_of_chain = [index[r] for r in root]
+    return {v: part_of_chain[c] for v, c in chain.items()}, [members[r] for r in roots]
+
+
 def connected_components(q: Quiver | TranslationQuiver) -> list[frozenset]:
     """Weakly connected components, links treated as undirected edges.
 
     A :class:`Quiver` is linked by its arrows; a :class:`TranslationQuiver`
     by its arrows and its translation, which ties together arrow-less
     vertices such as the diagonals of a square.  The list is sorted by
-    (size descending, smallest vertex): each component is found from its
-    smallest vertex, and the sort by size is stable.
+    (size descending, smallest vertex).  The parts are found without a
+    graph search: tau chains first, walked in sorted-vertex order, then a
+    union-find of the chains over the arrows; the order is the one a
+    search from each part's smallest vertex, stably sorted by size, gives.
     :func:`split_components` builds the translation quiver of each.
     """
-    links = q.arrows
-    if isinstance(q, TranslationQuiver):
-        links += tuple(q.tau.items())
-    adj: dict[Vertex, set[Vertex]] = {v: set() for v in q.vertices}
-    for s, t in links:
-        if s in adj and t in adj:
-            adj[s].add(t)
-            adj[t].add(s)
-    seen: set = set()
-    comps: list[frozenset] = []
-    for start in q.sorted_vertices():
-        if start in seen:
-            continue
-        comp = {start}
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for w in adj[v]:
-                if w not in comp:
-                    comp.add(w)
-                    stack.append(w)
-        seen |= comp
-        comps.append(frozenset(comp))
-    comps.sort(key=len, reverse=True)
-    return comps
+    return [frozenset(p) for p in _component_parts(q)[1]]
 
 
 def split_components(tq: TranslationQuiver) -> list[TranslationQuiver]:
@@ -342,17 +370,14 @@ def split_components(tq: TranslationQuiver) -> list[TranslationQuiver]:
     Components follow arrows and translation links, so arrow-less vertex
     classes tied together by the translation (the diagonals of a square)
     stay in one piece, and tau never leaves a component.  Arrows and tau
-    pairs with an end outside the vertex set belong to no part.  One scan
-    of the sorted vertices, and one of the arrows and tau pairs, give each
-    part its listings in the parent's order, so no part is sorted again.
+    pairs with an end outside the vertex set belong to no part.  The
+    vertex -> part map comes with each part's sorted vertices, and one
+    scan of the arrows and tau pairs gives each part its listings in the
+    parent's order, so no part is sorted again.
     """
-    comps = connected_components(tq)
-    part = {v: i for i, comp in enumerate(comps) for v in comp}
-    verts: list[list[Vertex]] = [[] for _ in comps]
-    arrows: list[list[Arrow]] = [[] for _ in comps]
-    for v in tq.sorted_vertices():
-        verts[part[v]].append(v)
-    taus: list[dict] = [{} for _ in comps]
+    part, verts = _component_parts(tq)
+    arrows: list[list[Arrow]] = [[] for _ in verts]
+    taus: list[dict] = [{} for _ in verts]
     for s, t in tq.arrows:
         if s in part and t in part:
             arrows[part[s]].append((s, t))

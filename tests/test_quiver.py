@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from networkx import MultiDiGraph
+from networkx import MultiDiGraph, weakly_connected_components
 from networkx.algorithms.isomorphism import MultiDiGraphMatcher
 
 from quiverkit import (
@@ -203,9 +203,20 @@ def _arrow_key(a):
 
 
 def _reference_components(q):
-    """``connected_components``' partition, ordered by (size descending, least vertex)."""
+    """networkx's weakly connected components, ordered by (size descending, least vertex).
+
+    The graph has the vertices and every arrow and tau pair with both ends
+    among them, so the partition does not come from the package.
+    """
+    quiver, tau = (q, {}) if isinstance(q, Quiver) else (q.quiver, q.tau)
+    g = MultiDiGraph()
+    g.add_nodes_from(quiver.vertices)
+    g.add_edges_from(
+        (s, t) for s, t in [*quiver.arrows, *tau.items()] if s in quiver and t in quiver
+    )
     return sorted(
-        connected_components(q), key=lambda c: (-len(c), min(vertex_key(v) for v in c))
+        map(frozenset, weakly_connected_components(g)),
+        key=lambda c: (-len(c), min(vertex_key(v) for v in c)),
     )
 
 
@@ -334,6 +345,7 @@ class TestSplitComponents:
         vertices, arrows, tau = data
         tq = TranslationQuiver(Quiver(vertices, arrows), tau)
         parts = split_components(tq)
+        assert [p.vertices for p in parts] == _reference_components(tq)
         assert [p.vertices for p in parts] == connected_components(tq)
         for part in parts:
             ref = _restricted(tq, part.vertices)
