@@ -2,8 +2,11 @@
 
 Subcommands: gamma, power, classify, mutate, angulations, orbit, verify.
 Identical inputs produce byte-identical output.  Exit codes: 0 success,
-2 usage error (including an ``--out`` path that cannot be written and a
-non-integer ``QUIVERKIT_CAP``), 3 size cap exceeded, 4 verification failure.
+2 usage error (including an ``--out`` path that cannot be written, a
+``--cap`` below 1 and a ``QUIVERKIT_CAP`` that is not a positive
+integer), 3 size cap exceeded, 4 verification failure.  ``classify``
+reports the principal component and the (k, s, r) match of every other
+one; the closed-form law those matches follow is checked by ``verify``.
 sympy is imported on first use of a mutation field, so only ``mutate``, and
 the ``verify`` checks that mutate, load it.
 """
@@ -86,14 +89,6 @@ def _cmd_classify(args) -> int:
         else:
             tag = "unmatched"
         lines.append(f"  component of {comp.size} vertices: {tag}")
-    if report.predicted is not None:
-        pred_r, pred_s = report.predicted
-        lines.append(
-            f"  odd-m formula r={pred_r}, s={pred_s}: agrees = {report.agrees}"
-        )
-    else:
-        lines.append(f"  even m: bound {args.m // 2} <= r <= {args.m}; "
-                     "the principal component itself realizes r = m (s = 1)")
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 
@@ -158,12 +153,11 @@ def _cmd_verify(args) -> int:
     lines = []
     for res in results:
         status = "PASS" if res.ok else "FAIL"
-        gate = "" if res.hard else " (non-gating)"
-        lines.append(f"[{status}] {res.name}{gate} ({res.seconds:.3f}s): {res.detail}")
-    hard_ok = all(res.ok for res in results if res.hard)
-    lines.append("all hard checks passed" if hard_ok else "hard check failure")
+        lines.append(f"[{status}] {res.name} ({res.seconds:.3f}s): {res.detail}")
+    ok = all(res.ok for res in results)
+    lines.append("all hard checks passed" if ok else "hard check failure")
     _emit("\n".join(lines) + "\n", args.out)
-    return 0 if hard_ok else 4
+    return 0 if ok else 4
 
 
 def build_parser() -> argparse.ArgumentParser:

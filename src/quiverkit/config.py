@@ -7,7 +7,8 @@ of ``gamma(n*m, 1)``).  ``QUIVERKIT_CAP`` in the environment overrides
 it.  The builders ``gamma``, ``power`` and ``orbit_quiver`` are not
 capped, as they build their output without a search.  Angulation
 enumeration has its own polygon-size cap because its output grows like
-a Fuss-Catalan number.
+a Fuss-Catalan number.  Every cap must be positive: a cap below 1 is a
+``ValueError``, which the command line reports as a usage error.
 """
 
 from __future__ import annotations
@@ -21,12 +22,23 @@ DEFAULT_ANGULATION_POLYGON_CAP = 16
 def default_vertex_cap() -> int:
     """Vertex cap from ``QUIVERKIT_CAP``, else 5000.
 
-    Raises ``ValueError`` naming the variable when it is not an integer.
+    Raises ``ValueError`` naming the variable when it is not a positive
+    integer.
     """
     raw = os.environ.get("QUIVERKIT_CAP")
     if raw is None or not raw.strip():
         return DEFAULT_VERTEX_CAP
     try:
-        return int(raw)
+        cap = int(raw)
     except ValueError:
         raise ValueError(f"QUIVERKIT_CAP must be an integer, got {raw!r}") from None
+    if cap < 1:
+        raise ValueError(f"QUIVERKIT_CAP must be positive, got {raw!r}")
+    return cap
+
+
+def _vertex_cap(cap: int | None) -> int:
+    """``cap``, or :func:`default_vertex_cap` for ``None``; ``ValueError`` unless positive."""
+    if cap is not None and cap < 1:
+        raise ValueError(f"cap must be positive, got {cap}")
+    return default_vertex_cap() if cap is None else cap

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from collections import Counter
 
-from .config import default_vertex_cap
+from .config import _vertex_cap
 from .errors import SizeCapError
 from .quiver import TranslationQuiver
 
@@ -103,7 +103,7 @@ def iso_translation_quivers(
     Raises :class:`SizeCapError` when either side exceeds the vertex cap
     (default 5000, overridable via ``QUIVERKIT_CAP``).
     """
-    cap = default_vertex_cap() if cap is None else cap
+    cap = _vertex_cap(cap)
     if len(a.vertices) > cap or len(b.vertices) > cap:
         raise SizeCapError(
             f"isomorphism search capped at {cap} vertices "

@@ -124,10 +124,6 @@ class DiagonalQuiver(TranslationQuiver):
 
     __slots__ = ("N", "step")
 
-    def __init__(self, quiver: Quiver, tau: dict, N: int, step: int):
-        super().__init__(quiver, tau)
-        self.N, self.step = N, step
-
 
 def _diagonal_quiver(N: int, step: int, verts: list[Diagonal], rank: dict) -> DiagonalQuiver:
     """Arrows ``(i,j) -> (i,j+step)`` and ``(i,j) -> (i+step,j)`` on ``verts``, tau back by step.
@@ -136,7 +132,8 @@ def _diagonal_quiver(N: int, step: int, verts: list[Diagonal], rank: dict) -> Di
     ``(j+step-N, i)`` past N), the second iff ``j - i >= step + 2``.  Tau
     is ``(i-step, j-step)`` with both ends folded into 1..N, then ordered.
     ``verts`` come in ``rank`` order, which ranks every end; each source's
-    first target sorts before its second, so the arrows come in order too.
+    first target sorts before its second, so the arrows come in order too,
+    and tau is listed along ``verts``.
     """
     arrows = []
     tau = {}
@@ -148,7 +145,9 @@ def _diagonal_quiver(N: int, step: int, verts: list[Diagonal], rank: dict) -> Di
             arrows.append((d, (i + step, j)))
         a, b = (i - step - 1) % N + 1, (j - step - 1) % N + 1
         tau[d] = (a, b) if a < b else (b, a)
-    return DiagonalQuiver(Quiver._listed(verts, arrows, rank), tau, N, step)
+    dq = DiagonalQuiver._listed(Quiver._listed(verts, arrows, rank), tau)
+    dq.N, dq.step = N, step
+    return dq
 
 
 def gamma(n: int, m: int = 1) -> DiagonalQuiver:
@@ -188,6 +187,8 @@ def enumerate_angulations(
         raise ValueError(f"need m >= 1, got m={m}")
     N = n * m + 2
     cap = DEFAULT_ANGULATION_POLYGON_CAP if polygon_cap is None else polygon_cap
+    if cap < 1:
+        raise ValueError(f"polygon cap must be positive, got {cap}")
     if N > cap:
         raise SizeCapError(
             f"angulation enumeration capped at {cap}-gons (got {N}-gon); "

@@ -29,7 +29,7 @@ search.
 
 from __future__ import annotations
 
-from .config import default_vertex_cap
+from .config import _vertex_cap
 from .errors import QuiverkitError, SizeCapError
 # Not called here.  perfbench's tracer test lists this module among the
 # holders of the search that its tracer rebinds; drop this import together
@@ -39,6 +39,7 @@ from .polygon import DiagonalQuiver, _diagonal_quiver, gamma
 from .quiver import Quiver, TranslationQuiver, Vertex, split_components
 
 Path = tuple[Vertex, ...]
+_DONE = object()
 
 
 def is_sectional(path: Path, tq: TranslationQuiver) -> bool:
@@ -61,30 +62,31 @@ def sectional_paths(tq: TranslationQuiver, length: int) -> list[Path]:
     """All sectional paths of the given arrow length, in vertex order.
 
     Parallel arrows multiply path counts, so the result is a multiset
-    when the quiver has arrow multiplicities above one.
+    when the quiver has arrow multiplicities above one.  The depth-first
+    walk keeps one iterator of candidates per position of the current
+    path on an explicit stack, so no length meets the recursion limit.
     """
     if length < 0:
         raise ValueError("length must be non-negative")
-    q = tq.quiver
+    out, tau_of = tq.quiver.out, tq.tau_of
+
+    def steps(prev, cur):  # prev is None before the first arrow and matches no tau image
+        kept = [(t, k) for t, k in out(cur) if (b := tau_of(t)) is None or b != prev]
+        return iter([t for t, k in kept for _ in range(k)])
+
     paths: list[Path] = []
-
-    def walk(path: list[Vertex]) -> None:
-        if len(path) == length + 1:
-            paths.append(tuple(path))
-            return
-        last = path[-1]
-        for nxt, mult in q.out(last):
-            if len(path) >= 2:
-                back = tq.tau_of(nxt)
-                if back is not None and back == path[-2]:
-                    continue
-            for _ in range(mult):
-                path.append(nxt)
-                walk(path)
-                path.pop()
-
-    for start in q.sorted_vertices():
-        walk([start])
+    path, stack = [None], [iter(tq.sorted_vertices())]
+    while stack:
+        nxt = next(stack[-1], _DONE)
+        if nxt is _DONE:
+            stack.pop()
+            path.pop()
+        elif len(path) > length:
+            paths.append((*path[:-1], nxt))
+        else:
+            path[-1] = nxt
+            stack.append(steps(path[-2] if len(path) > 1 else None, nxt))
+            path.append(None)
     return paths
 
 
@@ -136,7 +138,7 @@ def _count_sectional(tq: TranslationQuiver, m: int) -> TranslationQuiver:
             paths[end] = paths.get(end, 0) + count
         arrows += [(start, end) for end in sorted(paths, key=rank) for _ in range(paths[end])]
     listed = Quiver._listed(q.sorted_vertices(), arrows, q._rank)
-    return TranslationQuiver(listed, compose_tau(tq, m))
+    return TranslationQuiver._listed(listed, compose_tau(tq, m))
 
 
 def _gamma_power_components(
@@ -145,12 +147,12 @@ def _gamma_power_components(
     """Components of ``power(gamma(n*m, 1), m)``: the one through (1, m+2), then the rest.
 
     Raises :class:`SizeCapError` when ``gamma(n*m, 1)`` has more vertices
-    than ``cap`` (default :func:`default_vertex_cap`).
+    than ``cap`` (default :func:`~quiverkit.config.default_vertex_cap`).
     """
     if n < 2 or m < 1:
         raise ValueError(f"need n >= 2 and m >= 1, got n={n}, m={m}")
     N = n * m + 2
-    cap_val = default_vertex_cap() if cap is None else cap
+    cap_val = _vertex_cap(cap)
     base_size = N * (N - 3) // 2
     if base_size > cap_val:
         raise SizeCapError(

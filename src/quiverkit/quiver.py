@@ -23,7 +23,9 @@ key is injective).  Diagonal quivers and orbit quotients are built in
 rank order from the start: :func:`~quiverkit.polygon.gamma` lists its
 diagonals, and :func:`~quiverkit.orbit.orbit_quiver` its representatives
 slice by slice, already sorted.  All these builders hand
-``Quiver._listed`` listings in rank order, and it sorts nothing.
+``Quiver._listed`` listings, and ``TranslationQuiver._listed`` a
+``tau``, in rank order, and neither sorts anything; the public
+constructors sort by :func:`vertex_key`.
 Downstream code reads these listings as they are.  Indexes behind
 ``arrow_count`` and ``out``/``into`` are built on first use; threads
 racing on a first call build equal indexes, so sharing stays safe.
@@ -161,8 +163,14 @@ class TranslationQuiver:
 
     def __init__(self, quiver: Quiver, tau: Mapping[Vertex, Vertex]):
         self._quiver = quiver
-        key = quiver._rank.__getitem__ if quiver._rank.keys() >= tau.keys() else vertex_key
-        self._tau = {v: tau[v] for v in sorted(tau, key=key)}
+        self._tau = {v: tau[v] for v in sorted(tau, key=vertex_key)}
+
+    @classmethod
+    def _listed(cls, quiver: Quiver, tau: dict) -> TranslationQuiver:
+        """A translation quiver on a fresh ``tau`` in rank order, kept unsorted and uncopied."""
+        tq = cls.__new__(cls)
+        tq._quiver, tq._tau = quiver, tau
+        return tq
 
     @property
     def quiver(self) -> Quiver:
@@ -386,7 +394,8 @@ def split_components(tq: TranslationQuiver) -> list[TranslationQuiver]:
             taus[part[y]][y] = ty
     rank = tq.quiver._rank
     return [
-        TranslationQuiver(Quiver._listed(v, a, rank), t) for v, a, t in zip(verts, arrows, taus)
+        TranslationQuiver._listed(Quiver._listed(v, a, rank), t)
+        for v, a, t in zip(verts, arrows, taus)
     ]
 
 

@@ -2,9 +2,10 @@
 
 Each check re-derives a hand-checkable fixture or sweeps a family of
 instances.  ``run_checks`` executes them in declaration order and the
-command line prints one pass/fail line per check.  Hard checks gate the
-exit code; the classification check reports hypotheses about power
-components and never gates.
+command line prints one pass/fail line per check, and every check gates
+the exit code.  ``classification-hypothesis`` holds the classified power
+components to the closed-form component law, for one (n, m) in each
+residue of m modulo 4.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .mutation import (
     mutate_matrix,
     mutate_seed,
 )
-from .orbit import _diagonal_labels, classify_components, orbit_quiver
+from .orbit import _component_law, _diagonal_labels, classify_components, orbit_quiver
 from .polygon import enumerate_angulations, gamma, row_of
 from .power import _count_sectional, power, principal_component
 from .quiver import split_components, validate_translation_quiver
@@ -259,60 +260,62 @@ def check_row_property() -> tuple[bool, str]:
 
 
 def check_classification_hypothesis() -> tuple[bool, str]:
+    """Classified power components against ``orbit._component_law``.
+
+    Passes iff the principal component is gamma(n, m) and the normal
+    forms (k, s + (k+1)(r//2), r % 2) of the confirmed matches are the
+    law's, in component order.
+    """
     notes = []
-    all_matched = True
-    for n, m in ((2, 3), (3, 3), (4, 3), (2, 5)):
+    for n, m in ((2, 3), (4, 3), (2, 5), (3, 2), (2, 4)):
         report = classify_components(n, m)
-        matched = all(c.match is not None for c in report.others)
-        all_matched = all_matched and matched and report.principal_is_gamma
-        notes.append(
-            f"(n,m)=({n},{m}): principal {report.principal_size}"
-            f"{'=gamma' if report.principal_is_gamma else '!=gamma'}, others "
-            + (
-                ", ".join(
-                    f"{c.size}->" + ("(k=%d,s=%d,r=%d)" % c.match if c.match else "unmatched")
-                    for c in report.others
-                )
-                or "none"
+        matches = [c.match for c in report.others]
+        forms = None if None in matches else [
+            (k, s + (k + 1) * (r // 2), r % 2) for k, s, r in matches
+        ]
+        law = _component_law(n, m)
+        if not report.principal_is_gamma or forms != law:
+            return False, (
+                f"(n,m)=({n},{m}): principal is gamma: {report.principal_is_gamma}, "
+                f"normal forms {forms}, law {law}"
             )
-            + f"; formula agrees: {report.agrees}"
-        )
-    return all_matched, "; ".join(notes)
+        matched = ", ".join("%d->(k=%d,s=%d,r=%d)" % (c.size, *c.match) for c in report.others)
+        notes.append(f"(n,m)=({n},{m}): {matched}")
+    return True, "principal = gamma(n,m), the others follow the component law: " + "; ".join(notes)
 
 
 @dataclass(frozen=True)
 class CheckResult:
     name: str
     ok: bool
-    hard: bool
     detail: str
     seconds: float
 
 
-_CHECKS: list[tuple[str, bool, Callable[..., tuple[bool, str]]]] = [
-    ("hexagon-quiver", True, check_hexagon_quiver),
-    ("octagon-vertices", True, check_octagon_vertices),
-    ("octagon-power-components", True, check_octagon_power_components),
-    ("power-theorem-sweep", True, check_power_theorem_sweep),
-    ("power-stability-sweep", True, check_power_stability_sweep),
-    ("orbit-model-pinning", True, check_orbit_model_pinning),
-    ("mutation-involution", True, check_mutation_involution),
-    ("mutation-closure", True, check_mutation_closure),
-    ("counting", True, check_counting),
-    ("angulations", True, check_angulations),
-    ("row-property", True, check_row_property),
-    ("classification-hypothesis", False, check_classification_hypothesis),
+_CHECKS: list[tuple[str, Callable[..., tuple[bool, str]]]] = [
+    ("hexagon-quiver", check_hexagon_quiver),
+    ("octagon-vertices", check_octagon_vertices),
+    ("octagon-power-components", check_octagon_power_components),
+    ("power-theorem-sweep", check_power_theorem_sweep),
+    ("power-stability-sweep", check_power_stability_sweep),
+    ("orbit-model-pinning", check_orbit_model_pinning),
+    ("mutation-involution", check_mutation_involution),
+    ("mutation-closure", check_mutation_closure),
+    ("counting", check_counting),
+    ("angulations", check_angulations),
+    ("row-property", check_row_property),
+    ("classification-hypothesis", check_classification_hypothesis),
 ]
 
 
 def check_names() -> list[str]:
-    return [name for name, _, _ in _CHECKS]
+    return [name for name, _ in _CHECKS]
 
 
 def run_checks(only: str | None = None, seed: int = 2024) -> list[CheckResult]:
     """Run the named checks (all, or those whose name contains ``only``)."""
     results = []
-    for name, hard, fn in _CHECKS:
+    for name, fn in _CHECKS:
         if only is not None and only not in name:
             continue
         t0 = time.perf_counter()
@@ -323,5 +326,5 @@ def run_checks(only: str | None = None, seed: int = 2024) -> list[CheckResult]:
                 ok, detail = fn()
         except Exception as exc:  # a crash is a failure, not an abort
             ok, detail = False, f"raised {type(exc).__name__}: {exc}"
-        results.append(CheckResult(name, ok, hard, detail, time.perf_counter() - t0))
+        results.append(CheckResult(name, ok, detail, time.perf_counter() - t0))
     return results

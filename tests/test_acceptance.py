@@ -40,8 +40,8 @@ def run_check(name):
 
 @pytest.mark.parametrize("name", check_names())
 def test_check(name):
-    # Includes the non-gating classification check: every non-principal
-    # component matches some orbit quotient.
+    # Includes the classification check: the principal component is
+    # gamma(n, m) and the others follow the closed-form component law.
     result = run_check(name)
     report(name, result.ok, result.detail)
 

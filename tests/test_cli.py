@@ -93,8 +93,12 @@ class TestClassify:
     def test_text_report(self, capsys):
         code, out, _ = run(capsys, "classify", "--n", "3", "--m", "2")
         assert code == 0
-        assert "principal component: 8 vertices" in out
-        assert "orbit_quiver(k=3, s=0, r=1)" in out
+        assert out == (
+            "power(gamma(6,1), 2):\n"
+            "  principal component: 8 vertices, gamma(3,2) match: True\n"
+            "  component of 6 vertices: orbit_quiver(k=3, s=0, r=1)\n"
+            "  component of 6 vertices: orbit_quiver(k=3, s=0, r=1)\n"
+        )
 
     def test_cap_exit_code(self, capsys):
         code, _, err = run(
@@ -111,6 +115,35 @@ class TestClassify:
         assert code == 2
         assert out == ""
         assert err == "error: QUIVERKIT_CAP must be an integer, got 'abc'\n"
+
+
+class TestCaps:
+    """A cap below 1, by flag or by QUIVERKIT_CAP, is a usage error."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("classify", "--n", "3", "--m", "2"),
+            ("angulations", "--n", "3", "--m", "2"),
+            ("mutate", "--matrix", "[[0,1],[-1,0]]", "--enumerate"),
+        ],
+    )
+    @pytest.mark.parametrize("cap", ["0", "-1"])
+    def test_non_positive_cap_is_a_usage_error(self, capsys, argv, cap):
+        code, out, err = run(capsys, *argv, "--cap", cap)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "must be positive" in err
+
+    @pytest.mark.parametrize("raw", ["0", "-5"])
+    @pytest.mark.parametrize("argv", [("classify", "--n", "3", "--m", "2"), ("verify",)])
+    def test_non_positive_cap_variable_is_a_usage_error(self, capsys, monkeypatch, argv, raw):
+        monkeypatch.setenv("QUIVERKIT_CAP", raw)
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: QUIVERKIT_CAP must be positive, got {raw!r}\n"
 
 
 class TestMutate:

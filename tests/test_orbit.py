@@ -20,7 +20,7 @@ from quiverkit import (
     validate_translation_quiver,
     vertex_key,
 )
-from quiverkit.orbit import _diagonal_labels, _match_component, _normal_forms
+from quiverkit.orbit import _component_law, _diagonal_labels, _match_component, _normal_forms
 from quiverkit.verify import _pinning_pairs, check_orbit_model_pinning
 
 
@@ -319,7 +319,7 @@ class TestClassification:
         assert [c.size for c in report.others] == [6, 6]
         for comp in report.others:
             assert comp.match == (3, 0, 1)
-        assert report.agrees == "n/a"
+        assert _component_law(3, 2) == [(3, 0, 1), (3, 0, 1)]
 
     def test_first_power_has_no_other_components(self):
         report = classify_components(4, 1)
@@ -331,10 +331,9 @@ class TestClassification:
         assert report.principal_size == 4 and report.principal_is_gamma
         assert [c.size for c in report.others] == [16]
         assert report.others[0].match == (2, 5, 2)
-        # Odd-m letter formula predicts (r, s) = (1, 2) here; no quotient of
-        # that shape has 16 vertices, so the report flags the deviation.
-        assert report.predicted == (1, 2)
-        assert report.agrees is False
+        # The odd-m formula's (r, s) = (1, 2) gives no 16-vertex quotient;
+        # (2, 5, 2) is tau^-2 ∘ [4], i.e. (s, r) = (s_f, m + 1).
+        assert normal_form(*report.others[0].match) == normal_form(2, 2, 4) == (2, 8, 0)
 
     def test_every_odd_m_component_is_matched(self):
         for n, m in ((2, 3), (3, 3), (2, 5)):
@@ -345,25 +344,19 @@ class TestClassification:
     def test_json_report_shape(self):
         d = classify_components(3, 2).to_json_dict()
         assert d["schema"] == "quiverkit/1"
-        assert set(d) == {
-            "schema", "n", "m", "principal", "others", "ducrest_odd_m", "even_m",
-        }
+        assert list(d) == ["schema", "n", "m", "principal", "others"]
+        assert (d["n"], d["m"]) == (3, 2)
         assert d["principal"] == {"size": 8, "iso_gamma": True}
         assert d["others"] == [
             {"size": 6, "match": {"k": 3, "s": 0, "r": 1}},
             {"size": 6, "match": {"k": 3, "s": 0, "r": 1}},
         ]
-        assert d["ducrest_odd_m"]["agrees"] == "n/a"
-        assert d["even_m"]["bound"] == {"lo": 1, "hi": 2}
-        assert d["even_m"]["observed_r"] == [1]
-        assert d["even_m"]["within_bound"] is True
 
     def test_odd_json_report_shape(self):
         d = classify_components(2, 3).to_json_dict()
-        assert set(d) == {"schema", "n", "m", "principal", "others", "ducrest_odd_m"}
-        assert d["ducrest_odd_m"]["predicted"] == {"r": 1, "s": 2}
-        assert d["ducrest_odd_m"]["observed"] == [{"k": 2, "s": 5, "r": 2}]
-        assert d["ducrest_odd_m"]["agrees"] is False
+        assert list(d) == ["schema", "n", "m", "principal", "others"]
+        assert d["principal"] == {"size": 4, "iso_gamma": True}
+        assert d["others"] == [{"size": 16, "match": {"k": 2, "s": 5, "r": 2}}]
 
     def test_size_cap(self):
         with pytest.raises(SizeCapError):
@@ -438,18 +431,34 @@ class TestNormalFormMatcher:
         assert _match_component(comp, 3, 2, None).match is None
 
 
-class TestOddMLaw:
-    def test_components_are_za_n_mod_tau_nm_plus_2(self):
-        # Observed for every odd m >= 3 with n*m + 2 <= 26: (m-1)/2
-        # non-principal components, each ZA_n / tau^-(n*m+2).  The odd-m
-        # formula in the report predicts other (s, r); see
-        # classify_components.
-        pairs = [
-            (n, m) for m in range(3, 25, 2) for n in range(2, 25) if n * m + 2 <= 26
-        ]
-        assert len(pairs) == 14
+def law_pairs(max_ngon):
+    """Every (n, m) with n >= 2, m >= 1 and n*m + 2 <= max_ngon."""
+    return [(n, m) for m in range(1, max_ngon) for n in range(2, max_ngon) if n * m + 2 <= max_ngon]
+
+
+class TestComponentLaw:
+    def test_classification_follows_the_law(self):
+        # Every residue of m mod 4; CI runs the same comparison up to 60-gons.
+        pairs = law_pairs(26)
+        assert len(pairs) == 60
         for n, m in pairs:
             report = classify_components(n, m)
-            assert len(report.others) == (m - 1) // 2, (n, m)
-            for comp in report.others:
-                assert normal_form(*comp.match) == (n, n * m + 2, 0), (n, m)
+            assert report.principal_is_gamma, (n, m)
+            forms = [normal_form(*c.match) for c in report.others]
+            assert forms == _component_law(n, m), (n, m)
+            if m % 2:
+                # The least match is (n, s_f + n + 1, 2 r_f) for the odd-m
+                # formula's (r_f, s_f), i.e. tau^-s_f ∘ [m + 1].
+                r_f, s_f = (m - 1) // 2, (m - 1) * (n - 1) // 2 + 1
+                assert len(report.others) == r_f, (n, m)
+                for comp in report.others:
+                    assert comp.match == (n, s_f + n + 1, 2 * r_f), (n, m)
+                    assert normal_form(*comp.match) == normal_form(n, s_f, m + 1), (n, m)
+
+    def test_law_in_each_residue(self):
+        assert _component_law(4, 1) == []
+        assert _component_law(2, 3) == [(2, 8, 0)]
+        assert _component_law(2, 5) == [(2, 12, 0)] * 2
+        assert _component_law(3, 2) == [(3, 0, 1)] * 2
+        assert _component_law(2, 4) == [(2, 5, 0)] * 3
+        assert _component_law(2, 6) == [(2, 7, 0)] * 4 + [(2, 2, 1)] * 2

@@ -51,6 +51,24 @@ def brute_sectional_count(tq, src, tgt, length):
     return walk([src])
 
 
+def recursive_sectional_paths(tq, length):
+    """Reference enumeration: a recursive depth-first walk, arrows in listing order."""
+    paths = []
+
+    def walk(path):
+        if len(path) == length + 1:
+            paths.append(tuple(path))
+            return
+        for nxt in (t for s, t in tq.arrows if s == path[-1]):
+            if len(path) >= 2 and tq.tau_of(nxt) is not None and tq.tau_of(nxt) == path[-2]:
+                continue
+            walk(path + [nxt])
+
+    for start in tq.sorted_vertices():
+        walk([start])
+    return paths
+
+
 class TestSectional:
     def test_straight_slice_is_sectional(self):
         g = gamma(6, 1)
@@ -76,6 +94,21 @@ class TestSectional:
         g = gamma(5, 1)
         for p in sectional_paths(g, 3):
             assert is_sectional(p, g)
+
+    @given(mixed_translation_quivers(), st.integers(0, 4))
+    @settings(max_examples=150, deadline=None)
+    def test_order_matches_a_recursive_walk(self, data, length):
+        vertices, arrows, tau = data
+        tq = TranslationQuiver(Quiver(vertices, arrows), tau)
+        assert sectional_paths(tq, length) == recursive_sectional_paths(tq, length)
+
+    def test_paths_longer_than_the_recursion_limit(self):
+        # A directed 3-cycle without tau: one sectional path from each vertex.
+        cycle = TranslationQuiver(Quiver([0, 1, 2], [(0, 1), (1, 2), (2, 0)]), {})
+        length = sys.getrecursionlimit() + 500
+        assert sectional_paths(cycle, length) == [
+            tuple((start + i) % 3 for i in range(length + 1)) for start in range(3)
+        ]
 
 
 class TestPower:
