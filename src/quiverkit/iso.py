@@ -21,7 +21,7 @@ from collections import Counter
 
 from .config import _vertex_cap
 from .errors import SizeCapError
-from .quiver import TranslationQuiver
+from .quiver import TranslationQuiver, vertex_key
 
 
 def _adjacency(tq: TranslationQuiver, offset: int) -> tuple[list, list]:
@@ -75,8 +75,25 @@ def _refine(rows: list, color: list[int]) -> list[int]:
         ncolors = len(palette)
 
 
+def _require_vertex_ends(*tqs: TranslationQuiver) -> None:
+    """Raise ``ValueError`` naming an arrow or tau end that no vertex bijection can map."""
+    for tq in tqs:
+        stray = tq.vertices.union(*tq.arrows, *tq.tau.items()) - tq.vertices
+        if stray:
+            raise ValueError(f"arrow or tau end {min(stray, key=vertex_key)!r} is not a vertex")
+
+
 def check_iso(a: TranslationQuiver, b: TranslationQuiver, phi: dict) -> bool:
-    """Verify that ``phi`` really is a translation-quiver isomorphism."""
+    """Verify that ``phi`` really is a translation-quiver isomorphism.
+
+    Raises ``ValueError`` if an arrow or tau end is not a vertex.
+    """
+    _require_vertex_ends(a, b)
+    return _is_iso(a, b, phi)
+
+
+def _is_iso(a: TranslationQuiver, b: TranslationQuiver, phi: dict) -> bool:
+    """:func:`check_iso` on quivers whose arrow and tau ends are vertices."""
     if set(phi) != set(a.vertices) or set(phi.values()) != set(b.vertices):
         return False
     if len(set(phi.values())) != len(phi):
@@ -101,7 +118,8 @@ def iso_translation_quivers(
     """A vertex bijection a -> b respecting arrows and tau, or ``None``.
 
     Raises :class:`SizeCapError` when either side exceeds the vertex cap
-    (default 5000, overridable via ``QUIVERKIT_CAP``).
+    (default 5000, overridable via ``QUIVERKIT_CAP``), and ``ValueError``
+    if an arrow or tau end of either side is not a vertex.
     """
     cap = _vertex_cap(cap)
     if len(a.vertices) > cap or len(b.vertices) > cap:
@@ -109,6 +127,7 @@ def iso_translation_quivers(
             f"isomorphism search capped at {cap} vertices "
             f"(got {len(a.vertices)} and {len(b.vertices)})"
         )
+    _require_vertex_ends(a, b)
     if len(a.vertices) != len(b.vertices):
         return None
     if len(a.arrows) != len(b.arrows) or len(a.tau) != len(b.tau):
@@ -129,7 +148,7 @@ def iso_translation_quivers(
             if len(sizes) == n:
                 at = dict(zip(color[n:], order_b))
                 phi = {x: at[c] for x, c in zip(order_a, color)}
-                if check_iso(a, b, phi):
+                if _is_iso(a, b, phi):
                     return phi
             else:
                 target = min((size, c) for c, size in sizes.items() if size > 1)[1]

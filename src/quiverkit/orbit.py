@@ -132,9 +132,9 @@ def orbit_quiver(k: int, s: int, r: int) -> OrbitQuiver:
     the normal form ``tau^-S ∘ [rho]`` (see the module docstring); arrows
     and the translation are induced from the strip.  The representatives
     are listed in :func:`~quiverkit.quiver.vertex_key` order (slice ``p``,
-    then row ``i``) and ranked by position, each one's (at most two) arrow
-    targets are ordered by that rank, and the listings go to
-    ``Quiver._listed`` as they are, without a sort.
+    then row ``i``), which on these integer pairs is plain tuple order, so
+    ``sorted`` orders each one's (at most two) arrow targets, and the
+    listings go to ``TranslationQuiver._listed`` as they are.
     """
     rule = ZARule(k)
     if s < 0 or r < 0:
@@ -152,16 +152,14 @@ def orbit_quiver(k: int, s: int, r: int) -> OrbitQuiver:
     # Row i holds p < S + rho*(k+1-i): each slice p < S holds every row, and
     # for rho = 1 each slice p >= S the rows i <= S + k - p.
     reps = [(p, i) for p in range(S + rho * k) for i in range(1, min(k, S + k - p) + 1)]
-    rank = {v: n for n, v in enumerate(reps)}
     arrows = []
     tau = {}
     for c in reps:
         ends = [normalize(t) for t in rule.arrows_from(c)]
-        arrows += [(c, t) for t in sorted(ends, key=rank.__getitem__)]
+        arrows += [(c, t) for t in sorted(ends)]
         tau[c] = normalize(rule.tau(c))
 
-    quotient = TranslationQuiver._listed(Quiver._listed(reps, arrows, rank), tau)
-    return OrbitQuiver(k=k, quotient=quotient)
+    return OrbitQuiver(k=k, quotient=TranslationQuiver._listed(reps, arrows, tau))
 
 
 def _diagonal_labels(oq: OrbitQuiver, m: int) -> dict[ZAVertex, tuple[int, int]]:

@@ -28,7 +28,7 @@ from itertools import combinations_with_replacement, product
 
 from .config import DEFAULT_ANGULATION_POLYGON_CAP
 from .errors import SizeCapError
-from .quiver import Quiver, TranslationQuiver
+from .quiver import TranslationQuiver
 
 Diagonal = tuple[int, int]
 
@@ -125,15 +125,15 @@ class DiagonalQuiver(TranslationQuiver):
     __slots__ = ("N", "step")
 
 
-def _diagonal_quiver(N: int, step: int, verts: list[Diagonal], rank: dict) -> DiagonalQuiver:
+def _diagonal_quiver(N: int, step: int, verts: list[Diagonal]) -> DiagonalQuiver:
     """Arrows ``(i,j) -> (i,j+step)`` and ``(i,j) -> (i+step,j)`` on ``verts``, tau back by step.
 
     The first arrow exists iff ``j - i + step <= N - 2`` (folded to
     ``(j+step-N, i)`` past N), the second iff ``j - i >= step + 2``.  Tau
     is ``(i-step, j-step)`` with both ends folded into 1..N, then ordered.
-    ``verts`` come in ``rank`` order, which ranks every end; each source's
-    first target sorts before its second, so the arrows come in order too,
-    and tau is listed along ``verts``.
+    ``verts`` come in :func:`~quiverkit.quiver.vertex_key` order; each
+    source's first target sorts before its second, so the arrows come in
+    that order too, and tau is listed along ``verts``.
     """
     arrows = []
     tau = {}
@@ -145,7 +145,7 @@ def _diagonal_quiver(N: int, step: int, verts: list[Diagonal], rank: dict) -> Di
             arrows.append((d, (i + step, j)))
         a, b = (i - step - 1) % N + 1, (j - step - 1) % N + 1
         tau[d] = (a, b) if a < b else (b, a)
-    dq = DiagonalQuiver._listed(Quiver._listed(verts, arrows, rank), tau)
+    dq = DiagonalQuiver._listed(verts, arrows, tau)
     dq.N, dq.step = N, step
     return dq
 
@@ -162,8 +162,7 @@ def gamma(n: int, m: int = 1) -> DiagonalQuiver:
         raise ValueError(f"need n >= 2, got n={n}")
     if m < 1:
         raise ValueError(f"need m >= 1, got m={m}")
-    verts = m_diagonals(n, m)
-    return _diagonal_quiver(n * m + 2, m, verts, {d: r for r, d in enumerate(verts)})
+    return _diagonal_quiver(n * m + 2, m, m_diagonals(n, m))
 
 
 def enumerate_angulations(

@@ -24,7 +24,8 @@ particular the m-th power of ``gamma(N-2, 1)`` has the arrows and the
 translation of ``gamma(n, m)`` on the m-diagonals when ``N = n*m + 2``,
 so its component that holds them is ``gamma(n, m)`` label for label, and
 :func:`principal_component` checks it by equality, not by an isomorphism
-search.
+search.  Both forms walk the base's sorted vertices, so a power lists in
+:func:`~quiverkit.quiver.vertex_key` order; the count sorts only targets.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .errors import QuiverkitError, SizeCapError
 # with "power" from that list.
 from .iso import iso_translation_quivers  # noqa: F401
 from .polygon import DiagonalQuiver, _diagonal_quiver, gamma
-from .quiver import Quiver, TranslationQuiver, Vertex, split_components
+from .quiver import TranslationQuiver, Vertex, split_components, vertex_key
 
 Path = tuple[Vertex, ...]
 _DONE = object()
@@ -112,14 +113,14 @@ def power(tq: TranslationQuiver, m: int) -> TranslationQuiver:
     if m < 1:
         raise ValueError(f"need m >= 1, got m={m}")
     if isinstance(tq, DiagonalQuiver):
-        return _diagonal_quiver(tq.N, tq.step * m, tq.sorted_vertices(), tq.quiver._rank)
+        return _diagonal_quiver(tq.N, tq.step * m, tq.sorted_vertices())
     return _count_sectional(tq, m)
 
 
 def _count_sectional(tq: TranslationQuiver, m: int) -> TranslationQuiver:
     """The m-th power of any translation quiver, by counting sectional paths per last arrow."""
     q = tq.quiver
-    out, tau_of, rank = q.out, tq.tau_of, q._rank.__getitem__
+    out, tau_of = q.out, tq.tau_of
     arrows: list[tuple[Vertex, Vertex]] = []
     for start in q.sorted_vertices():
         # (prev, cur) -> number of sectional paths from start ending in the arrow
@@ -136,9 +137,8 @@ def _count_sectional(tq: TranslationQuiver, m: int) -> TranslationQuiver:
         paths: dict[Vertex, int] = {}
         for (_, end), count in ends.items():
             paths[end] = paths.get(end, 0) + count
-        arrows += [(start, end) for end in sorted(paths, key=rank) for _ in range(paths[end])]
-    listed = Quiver._listed(q.sorted_vertices(), arrows, q._rank)
-    return TranslationQuiver._listed(listed, compose_tau(tq, m))
+        arrows += [(start, end) for end in sorted(paths, key=vertex_key) for _ in range(paths[end])]
+    return TranslationQuiver._listed(q.sorted_vertices(), arrows, compose_tau(tq, m))
 
 
 def _gamma_power_components(

@@ -15,20 +15,14 @@ are safe to share between threads.
 
 ``sorted_vertices()``, ``arrows`` and the pairs of ``out``/``into``
 follow :func:`vertex_key` (arrows by source, then target), and ``tau``
-the order of its domain.  The order is computed once per vertex
-universe: the :class:`Quiver` constructor ranks vertices and arrow ends
-by :func:`vertex_key`, and its powers and the parts of
-:func:`split_components` inherit that rank (a fresh sort's order, as the
-key is injective).  Diagonal quivers and orbit quotients are built in
-rank order from the start: :func:`~quiverkit.polygon.gamma` lists its
-diagonals, and :func:`~quiverkit.orbit.orbit_quiver` its representatives
-slice by slice, already sorted.  All these builders hand
-``Quiver._listed`` listings, and ``TranslationQuiver._listed`` a
-``tau``, in rank order, and neither sorts anything; the public
-constructors sort by :func:`vertex_key`.
-Downstream code reads these listings as they are.  Indexes behind
-``arrow_count`` and ``out``/``into`` are built on first use; threads
-racing on a first call build equal indexes, so sharing stays safe.
+the order of its domain.  One rule keeps that order: the public
+constructors sort by :func:`vertex_key`; the builders (``gamma``,
+``power``, ``orbit_quiver`` and :func:`split_components`) hand
+``TranslationQuiver._listed`` listings already in that order; nothing
+else sorts.  Downstream code reads these listings as they are.  Indexes
+behind ``arrow_count`` and ``out``/``into`` are built on first use;
+threads racing on a first call build equal indexes, so sharing stays
+safe.
 """
 
 from __future__ import annotations
@@ -74,29 +68,16 @@ class Quiver:
     Vertices and arrows are ordered here, once (see the module docstring).
     """
 
-    __slots__ = ("_vertices", "_rank", "_sorted", "_arrows", "_index")
+    __slots__ = ("_vertices", "_sorted", "_arrows", "_index")
 
     def __init__(self, vertices: Iterable[Vertex], arrows: Iterable[Arrow] = ()):
         vertices = frozenset(vertices)
         arrows = [(s, t) for s, t in arrows]
         ends = sorted(vertices.union(*arrows), key=vertex_key)
         rank = {v: i for i, v in enumerate(ends)}
-        self._vertices, self._rank, self._index = vertices, rank, None
+        self._vertices, self._index = vertices, None
         self._sorted = tuple(v for v in ends if v in vertices)
         self._arrows = tuple(sorted(arrows, key=lambda a: (rank[a[0]], rank[a[1]])))
-
-    @staticmethod
-    def _listed(vertices: list[Vertex], arrows: list[Arrow], rank: dict) -> Quiver:
-        """A quiver whose vertices and arrows come in ``rank`` order, which ranks every end.
-
-        ``rank`` maps ends to their positions in :func:`vertex_key` order,
-        e.g. the rank of the quiver a power or a part is derived from;
-        nothing is sorted here.
-        """
-        q = Quiver.__new__(Quiver)
-        q._vertices, q._rank, q._index = frozenset(vertices), rank, None
-        q._sorted, q._arrows = tuple(vertices), tuple(arrows)
-        return q
 
     def _indexes(self) -> tuple[Counter, dict, dict]:
         """Arrow counts and ``out``/``into`` pairs, built on the first query."""
@@ -166,10 +147,13 @@ class TranslationQuiver:
         self._tau = {v: tau[v] for v in sorted(tau, key=vertex_key)}
 
     @classmethod
-    def _listed(cls, quiver: Quiver, tau: dict) -> TranslationQuiver:
-        """A translation quiver on a fresh ``tau`` in rank order, kept unsorted and uncopied."""
+    def _listed(cls, vertices: list[Vertex], arrows: list[Arrow], tau: dict) -> TranslationQuiver:
+        """A translation quiver on listings in :func:`vertex_key` order; ``tau`` is not copied."""
+        q = Quiver.__new__(Quiver)
+        q._vertices, q._sorted, q._index = frozenset(vertices), tuple(vertices), None
+        q._arrows = tuple(arrows)
         tq = cls.__new__(cls)
-        tq._quiver, tq._tau = quiver, tau
+        tq._quiver, tq._tau = q, tau
         return tq
 
     @property
@@ -381,7 +365,8 @@ def split_components(tq: TranslationQuiver) -> list[TranslationQuiver]:
     pairs with an end outside the vertex set belong to no part.  The
     vertex -> part map comes with each part's sorted vertices, and one
     scan of the arrows and tau pairs gives each part its listings in the
-    parent's order, so no part is sorted again.
+    parent's :func:`vertex_key` order, which go to
+    ``TranslationQuiver._listed`` unsorted.
     """
     part, verts = _component_parts(tq)
     arrows: list[list[Arrow]] = [[] for _ in verts]
@@ -392,11 +377,7 @@ def split_components(tq: TranslationQuiver) -> list[TranslationQuiver]:
     for y, ty in tq.tau.items():
         if y in part and ty in part:
             taus[part[y]][y] = ty
-    rank = tq.quiver._rank
-    return [
-        TranslationQuiver._listed(Quiver._listed(v, a, rank), t)
-        for v, a, t in zip(verts, arrows, taus)
-    ]
+    return [TranslationQuiver._listed(v, a, t) for v, a, t in zip(verts, arrows, taus)]
 
 
 def tau_orbits(tq: TranslationQuiver) -> list[tuple[Vertex, ...]]:

@@ -230,6 +230,7 @@ class TestGamma:
             ref = TranslationQuiver(Quiver(verts, arrows), tau)
             tq = gamma(n, m)
             assert tq == ref and list(tq.tau.items()) == list(ref.tau.items()), (n, m)
+            assert tq.sorted_vertices() == ref.sorted_vertices(), (n, m)
 
     def test_argument_errors(self):
         with pytest.raises(ValueError):

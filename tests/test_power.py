@@ -304,8 +304,8 @@ class TestPrincipalComponent:
         module = importlib.import_module("quiverkit.power")
         closed_form = module._diagonal_quiver
 
-        def fixed_first_vertex(N, step, verts, rank):
-            tq = closed_form(N, step, verts, rank)
+        def fixed_first_vertex(N, step, verts):
+            tq = closed_form(N, step, verts)
             return TranslationQuiver(tq.quiver, {**tq.tau, verts[0]: verts[0]})
 
         monkeypatch.setattr(module, "_diagonal_quiver", fixed_first_vertex)

@@ -314,7 +314,7 @@ def _rebuilt(tq):
 
 
 class TestInheritedOrder:
-    """Powers and parts order by their parent's rank, as a fresh sort would."""
+    """Powers and parts list in vertex_key order without a sort, as a fresh build would."""
 
     @given(mixed_translation_quivers(MIXED_VERTICES | LABEL_VERTICES))
     @settings(max_examples=200, deadline=None)
@@ -428,6 +428,24 @@ class TestIsomorphism:
         a = TranslationQuiver(Quiver([1, 2], [(1, 2)]), {})
         b = TranslationQuiver(Quiver([1, 2], [(1, 2), (1, 2)]), {})
         assert iso_translation_quivers(a, b) is None
+
+    @pytest.mark.parametrize(
+        "tq, end",
+        [
+            (TranslationQuiver(Quiver([1, 2]), {1: 3}), 3),
+            (TranslationQuiver(Quiver([1, 2]), {3: 1}), 3),
+            (TranslationQuiver(Quiver([1, 2], [(1, "x")]), {}), "x"),
+        ],
+        ids=["tau-image", "tau-key", "arrow-end"],
+    )
+    def test_stray_ends_are_value_errors(self, tq, end):
+        # The constructors accept ends outside the vertex set; no bijection maps them.
+        match = re.escape(f"end {end!r} is not a vertex")
+        for a, b in ((tq, tq), (gamma(2, 1), tq), (tq, gamma(2, 1))):
+            with pytest.raises(ValueError, match=match):
+                iso_translation_quivers(a, b)
+            with pytest.raises(ValueError, match=match):
+                check_iso(a, b, {v: v for v in a.vertices})
 
     def test_size_cap(self):
         a = gamma(4, 1)
