@@ -5,8 +5,8 @@ Identical inputs produce byte-identical output.  Exit codes: 0 success,
 2 usage error (including an ``--out`` path that cannot be written, a
 ``--cap`` below 1 and a ``QUIVERKIT_CAP`` that is not a positive
 integer), 3 size cap exceeded, 4 verification failure.  ``classify``
-reports the principal component and the (k, s, r) match of every other
-one; the closed-form law those matches follow is checked by ``verify``.
+reports the principal component and, for every other one, the (k, s, r)
+match of its closed-form normal form, confirmed by an isomorphism test.
 sympy is imported on first use of a mutation field, so only ``mutate``, and
 the ``verify`` checks that mutate, load it.
 """

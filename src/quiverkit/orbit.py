@@ -23,12 +23,9 @@ the representatives ``0 <= p < S + k + 1 - i``, and ``v`` folds to
 ``p' = p mod (2S + k + 1)`` in its own row unless ``p'`` lies past them,
 in which case it is ``g`` of ``(p' - S - (k + 1 - i), k + 1 - i)``.
 The quotient has ``N = k*S`` vertices for ``rho = 0`` and
-``N = k(k+1)/2 + k*S`` for ``rho = 1``.  For ``k >= 2`` its ``B``
-vertices of in-degree 1 are the orbits of rows 1 and k, ``B = 2S`` or
-``B = 2S + k + 1``, so ``k = 2N/B``; the tau-orbit of such a vertex has
-length ``S`` for ``rho = 0`` and ``B`` for ``rho = 1``.  For ``k = 1``
-the shift is ``tau^-1`` and the quotient is an arrowless tau-cycle of
-``s + r`` vertices.
+``N = k(k+1)/2 + k*S`` for ``rho = 1``.  For ``k = 1`` the shift is
+``tau^-1`` and the quotient is an arrowless tau-cycle of ``s + r``
+vertices.
 
 The quotient ``ZA_k / tau^-1 [m]`` is the diagonal quiver
 ``gamma(k+1, m)`` of the ((k+1)m+2)-gon, label for label under
@@ -43,11 +40,10 @@ row ``i`` to the diagonals that cut off an (i*m + 2)-gon.
 :func:`classify_components` splits the m-th power of the diagonal quiver
 of an (n*m+2)-gon with :func:`~quiverkit.quiver.split_components`,
 compares the principal component with ``gamma(n, m)`` for equality (see
-:mod:`quiverkit.power`), reads the normal form of every other component
-off these invariants and confirms it with one isomorphism test.
-:func:`_component_law` gives the same normal forms in closed form, one
-law for every m; it is the independent oracle that ``quiverkit verify``
-and the tests hold the classification to, not a step of it.
+:mod:`quiverkit.power`), takes the normal form of every other component
+from the closed-form :func:`_component_law` and confirms it with one
+isomorphism test, so a wrong form leaves its component unmatched and
+never gives a wrong match.
 """
 
 from __future__ import annotations
@@ -57,7 +53,7 @@ from dataclasses import dataclass
 from .iso import iso_translation_quivers
 from .polygon import gamma, normalize_pair
 from .power import _gamma_power_components
-from .quiver import Quiver, TranslationQuiver, tau_orbits
+from .quiver import Quiver, TranslationQuiver
 
 ZAVertex = tuple[int, int]
 
@@ -213,12 +209,25 @@ def _component_law(n: int, m: int) -> list[tuple[int, int, int]]:
     For ``power(gamma(n*m, 1), m)``, N = n*m + 2: (m-1)/2 copies of
     (n, N, 0) for odd m; m-1 copies of (n, N/2, 0) for m = 0 mod 4; m-2
     copies of (n, N/2, 0), then two of (n, n(m-2)/4, 1), for m = 2 mod 4.
-    The counts come from the gap j - i of a diagonal (i, j): the power's
-    arrows keep it modulo m, folding past N = 2 mod m takes the class c to
-    2 - c, class 1 is the principal component, and for even m the parity
-    of the ends splits some of the rest.  The quotient parameters are not
-    derived: the law is the oracle :func:`classify_components` is checked
-    against.
+
+    Give the diagonal (i, j) the key (c, a) = ((j-i) mod m, i mod d), with
+    d = gcd(m, N), 1 for odd m and 2 for even m.  Arrows and tau keep it,
+    and folding past N applies the involution (c, a) ↦ ((2-c) mod m,
+    (a+c) mod d), as N = 2 mod m; a component is one orbit of keys, and
+    (1, m+2) has c = 1.  Odd m: class 1 is fixed and principal, and the
+    other m-1 classes pair up into (m-1)/2 parts.  Even m: the keys with
+    c = 1 swap into the principal part; a key is fixed iff 2c = 2 mod m
+    and c is even, i.e. c = 1 + m/2 with m = 2 mod 4, the two rho = 1
+    parts; for m = 0 mod 4 the keys of class 1 + m/2 form one part; any
+    other pair {c, 2-c} gives the orbits of (c, 0) and (c, 1).
+    Sizes: the gaps 2..N-2 hold n of each class but class 1 (n - 1), and
+    N - g diagonals have gap g; a part's gaps are closed under g ↦ N - g,
+    so G of them carry G*N/2 diagonals: nN for a pair of classes, nN/2
+    for class 1 + m/2, halved by each even-m split (i ↦ i + 1 swaps a).
+    With k = n, S follows from the size k*S + rho*k(k+1)/2.  That k = n,
+    that rho = 1 exactly on fixed keys and that each orbit is connected
+    are not derived: :func:`classify_components` confirms each form with
+    an isomorphism test.
     """
     N = n * m + 2
     if m % 2:
@@ -228,44 +237,20 @@ def _component_law(n: int, m: int) -> list[tuple[int, int, int]]:
     return [(n, N // 2, 0)] * (m - 2) + [(n, n * (m - 2) // 4, 1)] * 2
 
 
-def _normal_forms(comp: TranslationQuiver) -> list[tuple[int, int, int]]:
-    """The normal forms (k, S, rho) that could give ``comp`` as a strip quotient.
-
-    Read off the vertex count, the in-degree-1 vertices and one boundary
-    tau-orbit as in the module docstring.  An arrowless component has
-    k = 1, where both parities of rho describe the same automorphism.
-    Empty when the invariants fit no quotient.
-    """
-    q = comp.quiver
-    N = len(q)
-    if not q.arrows:
-        return [(1, N, 0), (1, N - 1, 1)]
-    boundary = [v for v in comp.sorted_vertices() if q.in_degree(v) == 1]
-    B = len(boundary)
-    if not B or 2 * N % B:
-        return []
-    k = 2 * N // B
-    orbit = next(o for o in tau_orbits(comp) if boundary[0] in o)
-    rho = int(len(orbit) == B)
-    rest = N - rho * k * (k + 1) // 2
-    return [] if rest % k else [(k, rest // k, rho)]
-
-
 def _match_component(
-    comp: TranslationQuiver, n: int, m: int, cap: int | None
+    comp: TranslationQuiver, form: tuple[int, int, int], n: int, m: int, cap: int | None
 ) -> ComponentMatch:
-    """Match ``comp`` to orbit_quiver(k, s, r) with 1 <= r <= m and k < n*m.
+    """Match ``comp`` to orbit_quiver(k, s, r) of the normal form ``form`` = (k, S, rho).
 
-    The triples of one normal form (k, S, rho) are (k, S - (k+1)q, 2q + rho)
-    with s >= 0; they all give the same automorphism, so one isomorphism
-    test against the least of them decides every match.
+    The triples of the form with 1 <= r <= m, s >= 0 and k < n*m are
+    (k, S - (k+1)q, 2q + rho); they all give the same automorphism, so one
+    isomorphism test against the least of them decides every match.
     """
+    k, S, rho = form
     triples = sorted(
         (k, S - (k + 1) * q, 2 * q + rho)
-        for k, S, rho in _normal_forms(comp)
-        if k < n * m
         for q in range((m - rho) // 2 + 1)
-        if 2 * q + rho >= 1 and S - (k + 1) * q >= 0
+        if k < n * m and 2 * q + rho >= 1 and S - (k + 1) * q >= 0
     )
     if triples and iso_translation_quivers(
         orbit_quiver(*triples[0]).quotient, comp, cap=cap
@@ -283,10 +268,13 @@ def classify_components(n: int, m: int, cap: int | None = None) -> ComponentRepo
 
     The component through (1, m+2) is compared with gamma(n, m) for
     equality (see :func:`~quiverkit.power.principal_component`); every
-    other component is matched by its strip normal form and one
-    isomorphism test (see the module docstring).  ``all_matches`` lists
-    every (k, s, r) with 1 <= r <= m, s >= 0 and k < n*m that gives the
-    component's automorphism, least first.
+    other component takes its strip normal form from
+    :func:`_component_law`, in component order, and one isomorphism test
+    confirms it (see the module docstring).  ``all_matches`` lists every
+    (k, s, r) with 1 <= r <= m, s >= 0 and k < n*m that gives the
+    component's automorphism, least first; ``match`` is None when the test
+    fails.  A law with more or fewer forms than components raises
+    ``ValueError``.
 
     The odd-m formula (r_f, s_f) = ((m-1)/2, (m-1)(n-1)/2 + 1) matches no
     component: the least match is (n, s_f + n + 1, 2*r_f), which is
@@ -302,5 +290,8 @@ def classify_components(n: int, m: int, cap: int | None = None) -> ComponentRepo
         m=m,
         principal_size=len(principal.vertices),
         principal_is_gamma=principal == gamma(n, m),
-        others=tuple(_match_component(c, n, m, cap) for c in rest),
+        others=tuple(
+            _match_component(c, form, n, m, cap)
+            for c, form in zip(rest, _component_law(n, m), strict=True)
+        ),
     )

@@ -3,9 +3,9 @@
 Each check re-derives a hand-checkable fixture or sweeps a family of
 instances.  ``run_checks`` executes them in declaration order and the
 command line prints one pass/fail line per check, and every check gates
-the exit code.  ``classification-hypothesis`` holds the classified power
-components to the closed-form component law, for one (n, m) in each
-residue of m modulo 4.
+the exit code.  ``classification-hypothesis`` checks that the isomorphism
+test confirms the closed-form component law on every classified power
+component, for one (n, m) in each residue of m modulo 4.
 """
 
 from __future__ import annotations
@@ -262,9 +262,11 @@ def check_row_property() -> tuple[bool, str]:
 def check_classification_hypothesis() -> tuple[bool, str]:
     """Classified power components against ``orbit._component_law``.
 
-    Passes iff the principal component is gamma(n, m) and the normal
-    forms (k, s + (k+1)(r//2), r % 2) of the confirmed matches are the
-    law's, in component order.
+    ``classify_components`` takes each normal form from the law, so this
+    passes iff the principal component is gamma(n, m) and the isomorphism
+    test confirms every form: each component has a match, and the normal
+    forms (k, s + (k+1)(r//2), r % 2) of the matches are the law's, in
+    component order.
     """
     notes = []
     for n, m in ((2, 3), (4, 3), (2, 5), (3, 2), (2, 4)):

@@ -41,7 +41,8 @@ def run_check(name):
 @pytest.mark.parametrize("name", check_names())
 def test_check(name):
     # Includes the classification check: the principal component is
-    # gamma(n, m) and the others follow the closed-form component law.
+    # gamma(n, m), and the isomorphism test confirms the closed-form
+    # component law on every other component.
     result = run_check(name)
     report(name, result.ok, result.detail)
 

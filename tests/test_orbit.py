@@ -20,7 +20,7 @@ from quiverkit import (
     validate_translation_quiver,
     vertex_key,
 )
-from quiverkit.orbit import _component_law, _diagonal_labels, _match_component, _normal_forms
+from quiverkit.orbit import _component_law, _diagonal_labels, _match_component
 from quiverkit.verify import _pinning_pairs, check_orbit_model_pinning
 
 
@@ -364,21 +364,24 @@ class TestClassification:
 
 
 class TestNormalFormMatcher:
-    def assert_agrees_with_search(self, comp, n, m):
-        got = _match_component(comp, n, m, None)
+    def assert_agrees_with_search(self, comp, form, n, m):
+        got = _match_component(comp, form, n, m, None)
         expected = searched_matches(comp, n, m)
         assert got.all_matches == expected
         assert got.match == (expected[0] if expected else None)
 
     def test_orbit_quotient_grid_agrees_with_search(self):
-        for k in range(1, 5):
+        # From k = 2: an arrowless (k = 1) quotient has two normal forms,
+        # (1, S, 0) and (1, S - 1, 1), so one form cannot list all its
+        # matches.  No power component is arrowless, as the law's k is n >= 2.
+        for k in range(2, 5):
             for s in range(0, 4):
                 for r in range(0, 4):
                     if (s, r) == (0, 0):
                         continue
                     comp = orbit_quiver(k, s, r).quotient
                     for n, m in ((2, 1), (2, 2), (2, 3)):
-                        self.assert_agrees_with_search(comp, n, m)
+                        self.assert_agrees_with_search(comp, normal_form(k, s, r), n, m)
 
     def test_classify_components_agree_with_search(self):
         for n, m in ((2, 3), (3, 2), (2, 4), (3, 3), (2, 5)):
@@ -426,9 +429,28 @@ class TestNormalFormMatcher:
         # one iso test fails.
         comp = zd_quotient(6, 4)
         assert validate_translation_quiver(comp).stable
-        assert _normal_forms(comp) == [(4, 6, 0)]
-        self.assert_agrees_with_search(comp, 3, 2)
-        assert _match_component(comp, 3, 2, None).match is None
+        self.assert_agrees_with_search(comp, (4, 6, 0), 3, 2)
+        assert _match_component(comp, (4, 6, 0), 3, 2, None).match is None
+
+    def test_classify_certifies_the_law(self, monkeypatch):
+        # classify takes its forms from the law, and the iso test must
+        # reject a wrong one rather than report it.
+        law = quiverkit.orbit._component_law
+        monkeypatch.setattr(
+            quiverkit.orbit,
+            "_component_law",
+            lambda n, m: [(k, S + 1, rho) for k, S, rho in law(n, m)],
+        )
+        for n, m in ((2, 3), (3, 2), (2, 4), (2, 6)):
+            others = classify_components(n, m).others
+            assert others and all(c.match is None for c in others), (n, m)
+        ok, detail = quiverkit.verify.check_classification_hypothesis()
+        assert not ok and "None" in detail
+
+        # A law with one form too few must raise, not drop a component.
+        monkeypatch.setattr(quiverkit.orbit, "_component_law", lambda n, m: law(n, m)[:-1])
+        with pytest.raises(ValueError, match="shorter"):
+            classify_components(2, 4)
 
 
 def law_pairs(max_ngon):
