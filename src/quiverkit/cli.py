@@ -168,8 +168,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, emit_default="json"):
-        p.add_argument("--emit", choices=("dot", "json"), default=emit_default)
+    def add_common(p):
+        p.add_argument("--emit", choices=("dot", "json"), default="json")
         p.add_argument("--out", default=None, help="output path (default stdout)")
 
     p = sub.add_parser("gamma", help="diagonal quiver of an (n*m+2)-gon")

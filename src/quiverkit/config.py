@@ -1,14 +1,14 @@
 """Size caps.
 
-The default vertex cap guards the search-type operations: the
-isomorphism search, and the power decomposition behind
-``principal_component`` and ``classify_components`` (capped on the size
-of ``gamma(n*m, 1)``).  ``QUIVERKIT_CAP`` in the environment overrides
-it.  The builders ``gamma``, ``power`` and ``orbit_quiver`` are not
-capped, as they build their output without a search.  Angulation
-enumeration has its own polygon-size cap because its output grows like
-a Fuss-Catalan number.  Every cap must be positive: a cap below 1 is a
-``ValueError``, which the command line reports as a usage error.
+The default vertex cap guards the isomorphism search and bounds the
+work of ``principal_component`` and ``classify_components`` on outside
+input: they refuse an (n, m) before building ``gamma(n*m, 1)`` when it
+would have more vertices than the cap.  ``QUIVERKIT_CAP`` in the
+environment overrides it.  The builders ``gamma``, ``power`` and
+``orbit_quiver`` are not capped.  Angulation enumeration has its own
+polygon-size cap because its output grows like a Fuss-Catalan number.
+Every cap must be positive: a cap below 1 is a ``ValueError``, which the
+command line reports as a usage error.
 """
 
 from __future__ import annotations

@@ -358,10 +358,6 @@ class ExchangeMatrix:
             )
         return self
 
-    def permuted(self, perm: tuple[int, ...]) -> "ExchangeMatrix":
-        m = self._m
-        return ExchangeMatrix._from_rows(tuple(tuple(m[i][j] for j in perm) for i in perm))
-
     def __getitem__(self, ij) -> int:
         i, j = ij
         return self._m[i][j]
@@ -462,28 +458,16 @@ def _exchange(cluster: tuple[LaurentFraction, ...], rows, c: int) -> LaurentFrac
 
 def mutate_seed(seed: Seed, k: int) -> Seed:
     """Seed mutation in direction k (1-based); an involution."""
-    n = seed.matrix.n
-    if not 1 <= k <= n:
-        raise IndexError(f"direction {k} out of range 1..{n}")
+    matrix = mutate_matrix(seed.matrix, k)
     cluster = list(seed.cluster)
     cluster[k - 1] = _exchange(seed.cluster, seed.matrix._m, k - 1)
-    return Seed(cluster=tuple(cluster), matrix=mutate_matrix(seed.matrix, k))
+    return Seed(cluster=tuple(cluster), matrix=matrix)
 
 
-def _canonical_seed_key(seed: Seed) -> tuple:
-    """Key identifying seeds up to simultaneous cluster/matrix permutation.
-
-    Sorting the cluster fixes the permutation: its entries are pairwise
-    distinct.  Every seed the closure sees comes from the initial one by
-    mutations, and since x_k = (P + Q) / x_k' each cluster stays a free
-    generating set of ZZ(u_1, ..., u_n), so no two entries are equal.
-    """
-    keys = [f.sort_key() for f in seed.cluster]
-    order = sorted(range(len(keys)), key=lambda i: keys[i])
-    return (
-        tuple(keys[i] for i in order),
-        seed.matrix.permuted(tuple(order)),
-    )
+def _seed_key(labels, rows) -> tuple:
+    """A seed's distinct entry labels sorted, and B's ``rows`` and columns permuted to match."""
+    order = sorted(range(len(labels)), key=labels.__getitem__)
+    return tuple(labels[i] for i in order), tuple(tuple(rows[i][j] for j in order) for i in order)
 
 
 @dataclass(frozen=True)
@@ -503,11 +487,18 @@ class _FractionSeeds:
     that the tests hold the g-vector closure to.
     """
 
-    key = staticmethod(_canonical_seed_key)
-
     def __init__(self, M0: ExchangeMatrix):
         self.start = initial_seed(M0)
         self.found = set(self.start.cluster)
+
+    @staticmethod
+    def key(seed: Seed) -> tuple:
+        """Sorted fraction keys and B permuted to match.
+
+        Each cluster the closure reaches is a free generating set of
+        ZZ(u_1, ..., u_n), as x_k = (P + Q) / x_k', so its entries differ.
+        """
+        return _seed_key([f.sort_key() for f in seed.cluster], seed.matrix._m)
 
     def step(self, seed: Seed, c: int) -> Seed:
         return mutate_seed(seed, c + 1)
@@ -538,9 +529,7 @@ class _GVectorSeeds:
     @staticmethod
     def key(seed) -> tuple:
         """Sorted g-vectors and B permuted to match (g-vectors of a seed are distinct)."""
-        B, G = seed[0], seed[1]
-        order = sorted(range(len(G)), key=G.__getitem__)
-        return tuple(G[i] for i in order), tuple(tuple(B[i][j] for j in order) for i in order)
+        return _seed_key(seed[1], seed[0])
 
     def step(self, seed, c: int):
         B, G, C = seed

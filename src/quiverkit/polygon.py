@@ -191,7 +191,7 @@ def enumerate_angulations(
     if N > cap:
         raise SizeCapError(
             f"angulation enumeration capped at {cap}-gons (got {N}-gon); "
-            "raise polygon_cap explicitly to override"
+            "raise polygon_cap (--cap on the command line) to override"
         )
 
     # (a, b) -> the ways to fill a cell gap a..b: a side is left empty, an

@@ -4,11 +4,12 @@ A path ``x_0 -> x_1 -> ... -> x_L`` is *sectional* if at every interior
 step ``tau(x_{i+1}) != x_{i-1}`` (checked only where tau is defined).
 The m-th power of a translation quiver keeps the vertices, takes the
 sectional paths of length m as arrows (with multiplicity the number of
-such paths) and composes the translation with itself m times.  For most
-inputs :func:`power` counts these paths per last arrow and does not list
-them (:func:`sectional_paths` does).  Powers of a connected quiver are
-usually disconnected; :func:`~quiverkit.quiver.split_components` splits
-them into component translation quivers.
+such paths) and composes the translation with itself m times.  A
+diagonal quiver takes the closed form below; any other input has its
+paths counted per last arrow, not listed (:func:`sectional_paths` lists
+them).  Powers of a connected quiver are usually disconnected;
+:func:`~quiverkit.quiver.split_components` splits them into component
+translation quivers.
 
 A diagonal quiver of an N-gon with step s (``gamma(n, s)``, or a power
 of one) has the arrows ``(i, j) -> (i, j+s)`` and ``(i, j) -> (i+s, j)``
@@ -40,7 +41,6 @@ from .polygon import DiagonalQuiver, _diagonal_quiver, gamma
 from .quiver import TranslationQuiver, Vertex, split_components, vertex_key
 
 Path = tuple[Vertex, ...]
-_DONE = object()
 
 
 def is_sectional(path: Path, tq: TranslationQuiver) -> bool:
@@ -63,31 +63,24 @@ def sectional_paths(tq: TranslationQuiver, length: int) -> list[Path]:
     """All sectional paths of the given arrow length, in vertex order.
 
     Parallel arrows multiply path counts, so the result is a multiset
-    when the quiver has arrow multiplicities above one.  The depth-first
-    walk keeps one iterator of candidates per position of the current
-    path on an explicit stack, so no length meets the recursion limit.
+    when the quiver has arrow multiplicities above one.  The paths grow
+    one arrow per layer from the sorted vertices: each path in turn gives
+    way to its extensions by its end's ``out`` targets, in order and with
+    multiplicity, that pass :func:`_count_sectional`'s test.  That is
+    depth-first order, reached with no recursion limit on the length.
     """
     if length < 0:
         raise ValueError("length must be non-negative")
     out, tau_of = tq.quiver.out, tq.tau_of
-
-    def steps(prev, cur):  # prev is None before the first arrow and matches no tau image
-        kept = [(t, k) for t, k in out(cur) if (b := tau_of(t)) is None or b != prev]
-        return iter([t for t, k in kept for _ in range(k)])
-
-    paths: list[Path] = []
-    path, stack = [None], [iter(tq.sorted_vertices())]
-    while stack:
-        nxt = next(stack[-1], _DONE)
-        if nxt is _DONE:
-            stack.pop()
-            path.pop()
-        elif len(path) > length:
-            paths.append((*path[:-1], nxt))
-        else:
-            path[-1] = nxt
-            stack.append(steps(path[-2] if len(path) > 1 else None, nxt))
-            path.append(None)
+    paths: list[Path] = [(v,) for v in tq.sorted_vertices()]
+    for _ in range(length):
+        paths = [
+            (*path, t)
+            for path in paths
+            for t, k in out(path[-1])
+            if len(path) < 2 or (back := tau_of(t)) is None or back != path[-2]
+            for _ in range(k)
+        ]
     return paths
 
 

@@ -30,7 +30,7 @@ from .mutation import (
 from .orbit import _component_law, _diagonal_labels, classify_components, orbit_quiver
 from .polygon import enumerate_angulations, gamma, row_of
 from .power import _count_sectional, power, principal_component
-from .quiver import split_components, validate_translation_quiver
+from .quiver import connected_components, split_components, validate_translation_quiver
 
 # The diagonal quiver of the hexagon, frozen from the drawn picture:
 # 9 diagonals, 12 arrows, translation (i,j) -> (i-1,j-1).
@@ -245,11 +245,8 @@ def check_row_property() -> tuple[bool, str]:
     for n, m in ((2, 3), (3, 3)):
         N = n * m + 2
         base = gamma(n * m, 1)
-        comps = split_components(power(base, m))
-        comp_of = {}
-        for idx, comp in enumerate(comps):
-            for v in comp.vertices:
-                comp_of[v] = idx
+        comps = connected_components(power(base, m))
+        comp_of = {v: idx for idx, comp in enumerate(comps) for v in comp}
         rows: dict[int, set[int]] = {}
         for v in base.vertices:
             rows.setdefault(row_of(v, N), set()).add(comp_of[v])

@@ -345,6 +345,11 @@ class TestAngulations:
         code, _, _ = run(capsys, "angulations", "--n", "15", "--m", "1")
         assert code == 3
 
+    def test_cap_message_names_the_option(self, capsys):
+        code, out, err = run(capsys, "angulations", "--n", "20")
+        assert (code, out) == (3, "")
+        assert "--cap" in err
+
 
 class TestOrbit:
     def test_six_vertex_quotient(self, capsys):

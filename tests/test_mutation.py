@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from quiverkit import (
     ExchangeMatrix,
     LaurentFraction,
+    Seed,
     a_path_matrix,
     counting_check,
     enumerate_cluster_variables,
@@ -456,6 +457,49 @@ class TestGVectorClosure:
         assert mutations
         assert res.cap_reached and res.seed_count == 12
         assert res == _closure(NOT_SYMMETRIZABLE, 12, _FractionSeeds)
+
+
+class TestSeedKey:
+    """Both closure kinds key a seed up to simultaneous permutation of entries and B."""
+
+    M = exchange(4, (1, 2, 1, 1), (2, 3, 1, 2), (3, 4, 1, 1))  # F_4
+    PERM = (2, 0, 3, 1)
+
+    @staticmethod
+    def permute(rows, perm):
+        return tuple(tuple(rows[i][j] for j in perm) for i in perm)
+
+    @staticmethod
+    def bump(rows):
+        """``rows`` with the off-diagonal entry (1, 2) raised by one."""
+        return (rows[0][:1] + (rows[0][1] + 1,) + rows[0][2:],) + tuple(rows[1:])
+
+    def test_fraction_seeds(self):
+        seed = mutate_seed(mutate_seed(initial_seed(self.M), 2), 3)
+        B = seed.matrix._m
+        permuted = Seed(
+            tuple(seed.cluster[i] for i in self.PERM), ExchangeMatrix(self.permute(B, self.PERM))
+        )
+        bumped = Seed(seed.cluster, ExchangeMatrix(self.bump(B)))
+        key = _FractionSeeds.key(seed)
+        assert _FractionSeeds.key(permuted) == key
+        assert _FractionSeeds.key(bumped) != key
+
+    def test_g_vector_seeds(self):
+        seeds = _GVectorSeeds(self.M)
+        seed = seeds.start
+        for c in (1, 2):
+            seed = seeds.admit(seed, c, seeds.step(seed, c))
+        B, G, C = seed
+        # c-vector j is column j of C, so C's columns follow the entries.
+        permuted = (
+            self.permute(B, self.PERM),
+            tuple(G[i] for i in self.PERM),
+            tuple(tuple(r[j] for j in self.PERM) for r in C),
+        )
+        key = _GVectorSeeds.key(seed)
+        assert _GVectorSeeds.key(permuted) == key
+        assert _GVectorSeeds.key((self.bump(B), G, C)) != key
 
 
 class TestSkewSymmetrizable:

@@ -4,6 +4,7 @@ import importlib
 import os
 import subprocess
 import sys
+import types
 from collections import Counter
 
 import pytest
@@ -223,6 +224,19 @@ class TestClosedForm:
             assert not isinstance(pw, DiagonalQuiver)
             assert Counter(pw.arrows) == Counter((p[0], p[-1]) for p in sectional_paths(tq, 2))
         assert walked == [quotient, part, hand_built]
+
+
+class TestModuleName:
+    def test_package_attribute_power_is_the_function(self):
+        # quiverkit re-exports the function under its submodule's name, so
+        # ``import quiverkit.power as p`` binds the function; importlib
+        # reaches the module, whose ``power`` is that same function.
+        import quiverkit.power as p
+
+        module = importlib.import_module("quiverkit.power")
+        assert p is quiverkit.power is power
+        assert isinstance(module, types.ModuleType) and module.__name__ == "quiverkit.power"
+        assert module.power is quiverkit.power
 
 
 class TestDecompose:
