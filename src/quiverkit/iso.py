@@ -27,46 +27,37 @@ from .quiver import TranslationQuiver, vertex_key
 def _adjacency(tq: TranslationQuiver, offset: int) -> tuple[list, list]:
     """The vertices of ``tq`` in vertex_key order and one row per vertex.
 
-    Vertex i has joint index ``offset + i``.  Its row holds its arrows as
-    (neighbor, multiplicity) pairs, positive out and negative in, its tau
-    image (a list of zero or one index) and its tau preimages.
+    Vertex i has joint index ``offset + i``.  Its row lists its
+    (neighbor, tag) pairs: tag ``2c`` for an arrow of multiplicity c out,
+    ``-2c`` for one in, ``1`` to its tau image and ``-1`` from each tau
+    preimage.  Arrow tags are even and tau tags odd, so they never meet.
     """
     order = tq.sorted_vertices()
     idx = {v: offset + i for i, v in enumerate(order)}
-    pre: dict = {v: [] for v in order}
-    for y, ty in tq.tau.items():
-        pre[ty].append(idx[y])
     q = tq.quiver
-    rows = [
-        (
-            [(idx[w], c) for w, c in q.out(v)] + [(idx[w], -c) for w, c in q.into(v)],
-            [idx[tq.tau[v]]] if v in tq.tau else [],
-            pre[v],
-        )
+    rows = {
+        v: [(idx[w], 2 * c) for w, c in q.out(v)] + [(idx[w], -2 * c) for w, c in q.into(v)]
         for v in order
-    ]
-    return order, rows
+    }
+    for y, ty in tq.tau.items():
+        rows[y].append((idx[ty], 1))
+        rows[ty].append((idx[y], -1))
+    return order, list(rows.values())
 
 
 def _refine(rows: list, color: list[int]) -> list[int]:
     """Joint color refinement of the rows of both quivers, from ``color``.
 
-    Each round colors a vertex by its color and the colors of its arrow
-    neighbors (with direction and multiplicity), its tau image and its
-    tau preimages, until no class splits.  Colors are numbered by sorted
-    signature, so vertices that can correspond under an isomorphism
-    respecting the starting colors always share a color.
+    Each round colors a vertex by its color and the sorted (tag, color)
+    pairs of its row, until no class splits.  Colors are numbered by
+    sorted signature, so vertices that can correspond under an
+    isomorphism respecting the starting colors always share a color.
     """
     ncolors = len(set(color))
     while True:
         sig = [
-            (
-                color[v],
-                tuple(sorted((c, color[w]) for w, c in arrows)),
-                tuple(color[t] for t in image),
-                tuple(sorted(color[y] for y in pre)),
-            )
-            for v, (arrows, image, pre) in enumerate(rows)
+            (color[v], tuple(sorted((tag, color[w]) for w, tag in row)))
+            for v, row in enumerate(rows)
         ]
         palette = {s: i for i, s in enumerate(sorted(set(sig)))}
         color = [palette[s] for s in sig]

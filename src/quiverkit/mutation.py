@@ -89,26 +89,11 @@ def _field(n: int) -> FracField:
 
 
 def _poly_str(poly: PolyElement) -> str:
-    pieces: list[str] = []
-    for monom, coeff in poly.terms():  # grlex order, largest first
-        factors = []
-        for g, e in zip(poly.ring.symbols, monom):
-            if e == 1:
-                factors.append(str(g))
-            elif e > 1:
-                factors.append(f"{g}^{e}")
-        mag = abs(coeff)
-        if not factors:
-            body = str(mag)
-        elif mag == 1:
-            body = "*".join(factors)
-        else:
-            body = "*".join([str(mag)] + factors)
-        if not pieces:
-            pieces.append(body if coeff > 0 else f"-{body}")
-        else:
-            pieces.append(f"+ {body}" if coeff > 0 else f"- {body}")
-    return " ".join(pieces) or "0"
+    """``poly`` in grlex order by sympy's printer, e.g. ``u_1^2 - 2*u_2 + 1``."""
+    from sympy.printing.precedence import PRECEDENCE
+    from sympy.printing.str import StrPrinter
+
+    return poly.str(StrPrinter(), PRECEDENCE, "%s^%s", "*")
 
 
 def _split_monomial(poly: PolyElement) -> tuple[tuple[int, ...], PolyElement]:

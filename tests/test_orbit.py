@@ -2,6 +2,7 @@
 
 import pytest
 
+import quiverkit.iso
 import quiverkit.orbit
 import quiverkit.verify
 from quiverkit import (
@@ -415,6 +416,26 @@ class TestNormalFormMatcher:
         assert len(report.others) == 6
         # None for the principal, which is compared with gamma(2, 6) by equality.
         assert calls == {"orbit": 6, "iso": 6}
+
+    @pytest.mark.parametrize(
+        "n, m, expected",
+        [(4, 3, 2), (6, 3, 2), (5, 3, 3), (2, 5, 4), (6, 2, 4), (2, 3, 2), (3, 2, 6)],
+    )
+    def test_refinement_calls_per_classify(self, monkeypatch, n, m, expected):
+        # Pins the search effort: a weaker refinement (say, one that drops
+        # the tags or the tau links from the rows) still finds every match,
+        # but only after more individualizations, each one more _refine call.
+        calls = 0
+        refine = quiverkit.iso._refine
+
+        def counting(*args):
+            nonlocal calls
+            calls += 1
+            return refine(*args)
+
+        monkeypatch.setattr(quiverkit.iso, "_refine", counting)
+        classify_components(n, m)
+        assert calls == expected
 
     def test_duplicate_matches_of_one_automorphism(self):
         # tau^-9 ∘ [4] and tau^-13 ∘ [2] are both tau^-17 on three rows.

@@ -516,11 +516,18 @@ def _disjoint_union(*parts):
     )
 
 
+def _doubled(tq, sources):
+    """``tq`` with every arrow out of ``sources`` drawn twice."""
+    extra = [(s, t) for s, t in tq.arrows if s in sources]
+    return TranslationQuiver(Quiver(tq.vertices, [*tq.arrows, *extra]), dict(tq.tau))
+
+
 def _oracle_bases():
-    """gamma and strip-quotient instances of at most 30 vertices, and
-    disjoint unions of two of them, by size.  Color refinement cannot
-    tell the parts of a union apart when they look alike locally, so
-    unions make the search backtrack."""
+    """gamma and strip-quotient instances of at most 30 vertices, copies
+    of gamma(n, 1) with parallel arrows, and disjoint unions of two of
+    them, by size.  Color refinement cannot tell the parts of a union
+    apart when they look alike locally, so unions make the search
+    backtrack."""
     bases = [gamma(n, m) for n in range(2, 8) for m in range(1, 4)]
     bases += [
         orbit_quiver(k, s, r).quotient
@@ -530,6 +537,9 @@ def _oracle_bases():
         if (s, r) != (0, 0)
     ]
     bases = [tq for tq in bases if len(tq.vertices) <= 30]
+    for n in range(2, 6):
+        g = gamma(n, 1)
+        bases += [_doubled(g, g.vertices), _doubled(g, g.sorted_vertices()[:1])]
     bases += [
         _disjoint_union(p, q)
         for i, p in enumerate(bases)
@@ -589,6 +599,13 @@ def _networkx_isomorphic(a, b):
 
 class TestIsomorphismOracle:
     @given(pair=oracle_pairs())
+    # The same arrows with other multiplicities: not isomorphic.
+    @example(
+        pair=(
+            TranslationQuiver(Quiver([1, 2, 3], [(1, 2), (1, 2), (1, 3), (2, 3)]), {}),
+            TranslationQuiver(Quiver([1, 2, 3], [(1, 2), (1, 3), (1, 3), (2, 3)]), {}),
+        )
+    )
     @settings(max_examples=200, deadline=None)
     def test_agrees_with_networkx(self, pair):
         a, b = pair
