@@ -10,6 +10,10 @@ discrete, return the bijection it reads as when :func:`check_iso`
 accepts it; else give the least ``a``-vertex of the smallest
 non-singleton class and, in turn, each ``b``-vertex of that class a
 fresh color.  Branches live on an explicit stack, not the call stack.
+Refinement re-signs only the vertices next to a class that split and
+keeps the largest part of each split in place (Berkholz, Bonsma & Grohe,
+*Tight lower and upper bounds for the complexity of canonical colour
+refinement*, 2017), so a vertex moves O(log V) times and memory is O(V).
 Vertices are ordered by :func:`~quiverkit.quiver.vertex_key`, so the
 bijection is deterministic, and whether one is found does not depend
 on the argument order.
@@ -18,6 +22,7 @@ on the argument order.
 from __future__ import annotations
 
 from collections import Counter
+from typing import Collection
 
 from .config import _vertex_cap
 from .errors import SizeCapError
@@ -33,37 +38,80 @@ def _adjacency(tq: TranslationQuiver, offset: int) -> tuple[list, list]:
     preimage.  Arrow tags are even and tau tags odd, so they never meet.
     """
     order = tq.sorted_vertices()
-    idx = {v: offset + i for i, v in enumerate(order)}
-    q = tq.quiver
-    rows = {
-        v: [(idx[w], 2 * c) for w, c in q.out(v)] + [(idx[w], -2 * c) for w, c in q.into(v)]
-        for v in order
-    }
-    for y, ty in tq.tau.items():
-        rows[y].append((idx[ty], 1))
-        rows[ty].append((idx[y], -1))
-    return order, list(rows.values())
+    at = {v: i for i, v in enumerate(order)}
+    rows: list[list] = [[] for _ in order]
+    links = [(s, t, 2 * c) for (s, t), c in Counter(tq.arrows).items()]
+    for s, t, tag in links + [(y, ty, 1) for y, ty in tq.tau.items()]:
+        i, j = at[s], at[t]
+        rows[i].append((offset + j, tag))
+        rows[j].append((offset + i, -tag))
+    return order, rows
 
 
-def _refine(rows: list, color: list[int]) -> list[int]:
+def _refine(rows: list, color: list[int], changed: Collection[int]) -> list[int]:
     """Joint color refinement of the rows of both quivers, from ``color``.
 
-    Each round colors a vertex by its color and the sorted (tag, color)
-    pairs of its row, until no class splits.  Colors are numbered by
-    sorted signature, so vertices that can correspond under an
-    isomorphism respecting the starting colors always share a color.
+    Returns what refinement by rounds returns: each round colors a vertex
+    by its color and the sorted (tag, color) pairs of its row, numbered
+    by sorted signature, until no class splits.  ``changed`` must hold
+    every vertex whose color differs from a stable coloring: all of them
+    at the root, the individualized pair below it.  A round re-signs only
+    the *touched* vertices (``changed`` and its neighbors, then the
+    neighbors of the vertices that left their class) and one untouched
+    member per class, whose signature the others share, as none of their
+    neighbors moved.  A split's largest child keeps the class id, so its
+    members stay put; the children replace their parent in ``order``,
+    sorted by signature, and ``rank`` renumbers ``order`` once per round.
+    Rounds number colors in this order too (by color, then signature),
+    so every round splits the same classes into the same numbers.
     """
-    ncolors = len(set(color))
-    while True:
-        sig = [
-            (color[v], tuple(sorted((tag, color[w]) for w, tag in row)))
-            for v, row in enumerate(rows)
-        ]
-        palette = {s: i for i, s in enumerate(sorted(set(sig)))}
-        color = [palette[s] for s in sig]
-        if len(palette) == ncolors:
-            return color
-        ncolors = len(palette)
+    palette = {c: i for i, c in enumerate(sorted(set(color)))}
+    cls = [palette[c] for c in color]
+    members: list[set[int]] = [set() for _ in palette]
+    for v, c in enumerate(cls):
+        members[c].add(v)
+    rank = order = list(range(len(members)))
+
+    def sign(v: int) -> tuple:
+        return tuple(sorted((tag, rank[cls[w]]) for w, tag in rows[v]))
+
+    touched = {w for v in changed for w, _ in rows[v]}.union(changed)
+    while touched:
+        by_class: dict[int, list[int]] = {}
+        for v in touched:
+            by_class.setdefault(cls[v], []).append(v)
+        children: dict[int, list[int]] = {}
+        moves: list[tuple[int, list[int]]] = []  # made once every class is signed
+        for c, vs in by_class.items():
+            groups: dict[tuple, list[int]] = {}
+            for v in vs:
+                groups.setdefault(sign(v), []).append(v)
+            rest, rest_sig = len(members[c]) - len(vs), None
+            if rest:
+                rest_sig = sign(next(u for u in members[c] if u not in touched))
+                groups.setdefault(rest_sig, [])
+            if len(groups) == 1:
+                continue
+            sigs = sorted(groups)
+            keep = max(sigs, key=lambda s: len(groups[s]) + rest * (s == rest_sig))
+            if rest and rest_sig != keep:
+                groups[rest_sig] += [u for u in members[c] if u not in touched]
+            children[c] = []
+            for s in sigs:
+                children[c].append(c if s == keep else len(members) + len(moves))
+                if s != keep:
+                    moves.append((c, groups[s]))
+        for new, (c, part) in enumerate(moves, len(members)):
+            members[c].difference_update(part)
+            members.append(set(part))
+            for v in part:
+                cls[v] = new
+        order = [d for c in order for d in children.get(c, (c,))]
+        rank = [0] * len(order)
+        for i, c in enumerate(order):
+            rank[c] = i
+        touched = {w for _, part in moves for v in part for w, _ in rows[v]}
+    return [rank[c] for c in cls]
 
 
 def _require_vertex_ends(*tqs: TranslationQuiver) -> None:
@@ -132,8 +180,9 @@ def iso_translation_quivers(
     # it and its untried b-candidates, last in vertex_key order first.
     frames: list[tuple[list[int], int, list[int]]] = []
     color: list[int] | None = [0] * (2 * n)
+    changed: Collection[int] = range(2 * n)
     while color is not None:
-        color = _refine(rows, color)
+        color = _refine(rows, color, changed)
         sizes = Counter(color[:n])
         if sizes == Counter(color[n:]):
             if len(sizes) == n:
@@ -149,8 +198,8 @@ def iso_translation_quivers(
         while frames and color is None:
             parent, x, ys = frames[-1]
             if ys:
-                color = parent.copy()
-                color[x] = color[ys.pop()] = max(parent) + 1
+                color, changed = parent.copy(), (x, ys.pop())
+                color[x] = color[changed[1]] = max(parent) + 1
             else:
                 frames.pop()
     return None

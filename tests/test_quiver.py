@@ -37,6 +37,7 @@ from quiverkit import (
 from quiverkit.cli import main
 from quiverkit.power import _gamma_power_components
 from quiverkit.export import angulations_json, components_json
+from quiverkit.iso import _adjacency, _refine
 
 
 def brute_mesh_violations(tq):
@@ -613,6 +614,63 @@ class TestIsomorphismOracle:
         assert (phi is not None) == _networkx_isomorphic(a, b)
         assert phi is None or check_iso(a, b, phi)
         assert (iso_translation_quivers(b, a) is None) == (phi is None)
+
+
+def _refine_by_rounds(rows, color):
+    """Refinement by rounds, the reference for the touched-vertex ``_refine``:
+    every round re-signs every vertex by its color and the sorted (tag,
+    color) pairs of its row, numbered by sorted signature."""
+    ncolors = len(set(color))
+    while True:
+        sig = [
+            (color[v], tuple(sorted((tag, color[w]) for w, tag in row)))
+            for v, row in enumerate(rows)
+        ]
+        palette = {s: i for i, s in enumerate(sorted(set(sig)))}
+        color = [palette[s] for s in sig]
+        if len(palette) == ncolors:
+            return color
+        ncolors = len(palette)
+
+
+def _joint_rows(a, b):
+    return _adjacency(a, 0)[1] + _adjacency(b, len(a.vertices))[1]
+
+
+class TestRefinementByRounds:
+    @given(pair=oracle_pairs(), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_root_and_one_branch_equal_the_rounds(self, pair, data):
+        a, b = pair
+        rows = _joint_rows(*pair)
+        n = len(a.vertices)
+        root = [0] * (2 * n)
+        stable = _refine(rows, root, range(2 * n))
+        assert stable == _refine_by_rounds(rows, root)
+        classes = {}
+        for v, c in enumerate(stable):
+            classes.setdefault(c, []).append(v)
+        mixed = [vs for vs in classes.values() if vs[0] < n <= vs[-1]]
+        if mixed:
+            # The search's branch: the least a-vertex of the smallest class
+            # with both sides, and one of that class's b-vertices.
+            vs = min(mixed, key=lambda vs: (len(vs), stable[vs[0]]))
+            x, y = vs[0], data.draw(st.sampled_from([v for v in vs if v >= n]))
+            color = stable.copy()
+            color[x] = color[y] = max(stable) + 1
+            assert _refine(rows, color, (x, y)) == _refine_by_rounds(rows, color)
+
+    def test_directed_path_against_its_reverse(self):
+        # Each round splits off one more vertex from each end of both
+        # paths, so refinement runs about 150 rounds deep.
+        n = 300
+        a = TranslationQuiver(Quiver(range(n), [(i, i + 1) for i in range(n - 1)]), {})
+        b = TranslationQuiver(Quiver(range(n), [(i + 1, i) for i in range(n - 1)]), {})
+        rows = _joint_rows(a, b)
+        root = [0] * (2 * n)
+        stable = _refine(rows, root, range(2 * n))
+        assert stable == _refine_by_rounds(rows, root)
+        assert len(set(stable)) == n
 
 
 class TestTauOrbits:
