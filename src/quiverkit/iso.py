@@ -13,7 +13,7 @@ fresh color.  Branches live on an explicit stack, not the call stack.
 Refinement re-signs only the vertices next to a class that split and
 keeps the largest part of each split in place (Berkholz, Bonsma & Grohe,
 *Tight lower and upper bounds for the complexity of canonical colour
-refinement*, 2017), so a vertex moves O(log V) times and memory is O(V).
+refinement*, 2017), so a vertex moves O(log V) times and memory is O(V + E).
 Vertices are ordered by :func:`~quiverkit.quiver.vertex_key`, so the
 bijection is deterministic, and whether one is found does not depend
 on the argument order.
