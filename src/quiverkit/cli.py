@@ -20,7 +20,9 @@ import sys
 
 from .config import default_vertex_cap
 from .errors import SizeCapError
-from .export import _dump, angulations_json, components_dot, components_json, to_dot, to_json
+from .export import (
+    SCHEMA, _dump, angulations_json, components_dot, components_json, to_dot, to_json,
+)
 from .mutation import (
     ExchangeMatrix,
     enumerate_cluster_variables,
@@ -32,8 +34,6 @@ from .polygon import enumerate_angulations, gamma
 from .power import power
 from .quiver import split_components
 from .verify import run_checks
-
-SCHEMA = "quiverkit/1"
 
 
 def _emit(text: str, out: str | None) -> None:

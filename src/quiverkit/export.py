@@ -3,9 +3,9 @@
 Each JSON writer returns exactly ``json.dumps(<dict form>, indent=2) + "\\n"``,
 the dict form of a quiver being :func:`quiver_json_dict` after any extra keys.
 As indenting keeps ``json`` off its C encoder, the writers join the lists from
-labels rendered and escaped once per quiver.  Each writer first renders the
-labels of the sorted vertices in one pass, then looks up arrow and tau ends;
-only an end that is not a vertex is rendered at its first lookup.  Extra values
+labels rendered and escaped once per quiver.  Each writer renders the labels of
+the sorted vertices in one pass, then looks up arrow and tau ends, which are
+vertices (the :mod:`~quiverkit.quiver` constructors enforce it).  Extra values
 are dumped and indented one level, which is exact: ``json`` puts no raw newline
 in a string.
 """
@@ -16,6 +16,8 @@ import json
 from json.encoder import encode_basestring_ascii as _encode
 
 from .quiver import Quiver, TranslationQuiver, vertex_label
+
+SCHEMA = "quiverkit/1"
 
 
 def quiver_json_dict(tq: TranslationQuiver | Quiver) -> dict:
@@ -38,7 +40,7 @@ def _dump(payload: dict) -> str:
 
 
 class _Rendered(dict):
-    """Key -> text, rendered at the first lookup of any equal key (vertex or not)."""
+    """Key -> text, rendered at the first lookup of the key."""
 
     def __init__(self, render):
         self.render = render
@@ -47,12 +49,10 @@ class _Rendered(dict):
         return self.setdefault(key, self.render(key))
 
 
-def _labels(q: Quiver, render) -> _Rendered:
-    """``render`` of each vertex, entered in sorted order; other ends render on lookup."""
+def _labels(q: Quiver, render) -> dict:
+    """``render`` of each vertex, entered in sorted order."""
     vertices = q.sorted_vertices()
-    lab = _Rendered(render)
-    lab.update(zip(vertices, map(render, vertices)))
-    return lab
+    return dict(zip(vertices, map(render, vertices)))
 
 
 def _join(items: list[str] | dict[str, str], depth: int) -> str:

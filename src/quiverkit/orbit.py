@@ -50,6 +50,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .export import SCHEMA
 from .iso import iso_translation_quivers
 from .polygon import gamma, normalize_pair
 from .power import _gamma_power_components
@@ -192,7 +193,7 @@ class ComponentReport:
 
     def to_json_dict(self) -> dict:
         return {
-            "schema": "quiverkit/1",
+            "schema": SCHEMA,
             "n": self.n,
             "m": self.m,
             "principal": {"size": self.principal_size, "iso_gamma": self.principal_is_gamma},

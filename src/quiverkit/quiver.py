@@ -7,9 +7,12 @@ the number of arrows ``tau(y) -> x`` (the mesh arrow-count axiom).  When
 ``tau`` is defined everywhere on a finite vertex set it is bijective and
 the translation quiver is called *stable*.
 
-Vertices are arbitrary hashable objects.  The builders in this package
-use tuples of integers such as ``(1, 4)``; :func:`vertex_key` gives those
-their natural order so that every listing in the package is
+Vertices are arbitrary hashable objects.  Every arrow end and every
+``tau`` key and image is a vertex: the public constructors raise
+``ValueError`` otherwise, and the builders make no other kind, so no code
+downstream checks for ends outside the vertex set.  The builders in this
+package use tuples of integers such as ``(1, 4)``; :func:`vertex_key`
+gives those their natural order so that every listing in the package is
 deterministic.  All structures are immutable after construction, so they
 are safe to share between threads.
 
@@ -57,15 +60,20 @@ def vertex_label(v: Vertex) -> str:
     return str(v)
 
 
+def _require_vertices(vertices: frozenset, pairs: Iterable[tuple]) -> None:
+    """Raise ``ValueError`` naming the least end of ``pairs`` that is not a vertex."""
+    stray = vertices.union(*pairs) - vertices
+    if stray:
+        raise ValueError(f"arrow or tau end {min(stray, key=vertex_key)!r} is not a vertex")
+
+
 class Quiver:
     """A finite directed multigraph.
 
     ``arrows`` is a multiset: repeated ``(source, target)`` pairs mean
-    parallel arrows, given in any order.  The constructor accepts arrows
-    whose endpoints are not listed as vertices;
-    :func:`validate_translation_quiver` reports such defects instead of
-    the constructor raising, so that broken inputs can be examined.
-    Vertices and arrows are ordered here, once (see the module docstring).
+    parallel arrows, given in any order.  Raises ``ValueError`` if an
+    arrow end is not a vertex.  Vertices and arrows are ordered here,
+    once (see the module docstring).
     """
 
     __slots__ = ("_vertices", "_sorted", "_arrows", "_index")
@@ -73,10 +81,10 @@ class Quiver:
     def __init__(self, vertices: Iterable[Vertex], arrows: Iterable[Arrow] = ()):
         vertices = frozenset(vertices)
         arrows = [(s, t) for s, t in arrows]
-        ends = sorted(vertices.union(*arrows), key=vertex_key)
-        rank = {v: i for i, v in enumerate(ends)}
+        _require_vertices(vertices, arrows)
+        self._sorted = tuple(sorted(vertices, key=vertex_key))
+        rank = {v: i for i, v in enumerate(self._sorted)}
         self._vertices, self._index = vertices, None
-        self._sorted = tuple(v for v in ends if v in vertices)
         self._arrows = tuple(sorted(arrows, key=lambda a: (rank[a[0]], rank[a[1]])))
 
     def _indexes(self) -> tuple[Counter, dict, dict]:
@@ -138,17 +146,23 @@ class Quiver:
 
 
 class TranslationQuiver:
-    """A :class:`Quiver` plus a partial translation map ``tau``."""
+    """A :class:`Quiver` plus a partial translation map ``tau``.
+
+    Raises ``ValueError`` if a ``tau`` key or image is not a vertex.
+    ``tau`` need not be injective, nor satisfy the mesh axiom:
+    :func:`validate_translation_quiver` reports those defects as data.
+    """
 
     __slots__ = ("_quiver", "_tau")
 
     def __init__(self, quiver: Quiver, tau: Mapping[Vertex, Vertex]):
+        _require_vertices(quiver.vertices, tau.items())
         self._quiver = quiver
         self._tau = {v: tau[v] for v in sorted(tau, key=vertex_key)}
 
     @classmethod
     def _listed(cls, vertices: list[Vertex], arrows: list[Arrow], tau: dict) -> TranslationQuiver:
-        """A translation quiver on listings in :func:`vertex_key` order; ``tau`` is not copied."""
+        """A translation quiver on listings in vertex_key order: unchecked, ``tau`` not copied."""
         q = Quiver.__new__(Quiver)
         q._vertices, q._sorted, q._index = frozenset(vertices), tuple(vertices), None
         q._arrows = tuple(arrows)
@@ -227,42 +241,21 @@ class ValidationResult:
 def validate_translation_quiver(tq: TranslationQuiver) -> ValidationResult:
     """Check the translation-quiver axioms; violations are data, not errors.
 
-    Checks, in order: arrow endpoints are vertices, no self-loops, tau
-    endpoints are vertices, tau is injective, and the mesh axiom
-    ``#(x -> y) == #(tau(y) -> x)`` for every y in the domain of tau.
+    Checks, in order: no self-loops, tau is injective, and the mesh axiom
+    ``#(x -> y) == #(tau(y) -> x)`` for every y in the domain of tau.  That
+    every arrow and tau end is a vertex needs no check: the constructors
+    enforce it.
     """
     q = tq.quiver
-    vs = q.vertices
     violations: list[Violation] = []
 
     for s, t in dict.fromkeys(q.arrows):
-        for end in (s, t):
-            if end not in vs:
-                violations.append(
-                    Violation(
-                        "arrow-endpoint",
-                        f"arrow {vertex_label(s)}->{vertex_label(t)} uses "
-                        f"non-vertex {vertex_label(end)}",
-                        pair=(s, t),
-                    )
-                )
         if s == t:
             violations.append(
                 Violation("self-loop", f"self-loop at {vertex_label(s)}", pair=(s, t))
             )
 
     tau = dict(tq.tau)
-    for y, ty in tau.items():
-        for end, role in ((y, "source"), (ty, "image")):
-            if end not in vs:
-                violations.append(
-                    Violation(
-                        "tau-endpoint",
-                        f"tau {role} {vertex_label(end)} is not a vertex",
-                        pair=(y, ty),
-                    )
-                )
-
     images = Counter(tau.values())
     for w in sorted((w for w, c in images.items() if c > 1), key=vertex_key):
         clashing = tuple(y for y in tau if tau[y] == w)
@@ -305,7 +298,6 @@ def _component_parts(
     The chains are then united over the arrows in a small union-find.
     """
     quiver, tau = (q, {}) if isinstance(q, Quiver) else (q.quiver, q._tau)
-    vertices = quiver._vertices
     chain: dict[Vertex, int] = {}
     parent: list[int] = []
 
@@ -320,16 +312,12 @@ def _component_parts(
             continue
         c = len(parent)
         parent.append(c)
-        while True:
+        while v not in chain:
             chain[v] = c
-            if v not in tau or (v := tau[v]) not in vertices:
-                break
-            if v in chain:
-                parent[c] = find(chain[v])
-                break
-    for a, b in {(chain.get(s), chain.get(t)) for s, t in quiver._arrows}:
-        if a is not None and b is not None:
-            parent[find(a)] = find(b)
+            v = tau.get(v, v)
+        parent[c] = find(chain[v])
+    for a, b in {(chain[s], chain[t]) for s, t in quiver._arrows}:
+        parent[find(a)] = find(b)
     root = [find(c) for c in range(len(parent))]
     members: dict[int, list[Vertex]] = {}
     for v in quiver._sorted:
@@ -361,8 +349,7 @@ def split_components(tq: TranslationQuiver) -> list[TranslationQuiver]:
 
     Components follow arrows and translation links, so arrow-less vertex
     classes tied together by the translation (the diagonals of a square)
-    stay in one piece, and tau never leaves a component.  Arrows and tau
-    pairs with an end outside the vertex set belong to no part.  The
+    stay in one piece, and tau never leaves a component.  The
     vertex -> part map comes with each part's sorted vertices, and one
     scan of the arrows and tau pairs gives each part its listings in the
     parent's :func:`vertex_key` order, which go to
@@ -372,11 +359,9 @@ def split_components(tq: TranslationQuiver) -> list[TranslationQuiver]:
     arrows: list[list[Arrow]] = [[] for _ in verts]
     taus: list[dict] = [{} for _ in verts]
     for s, t in tq.arrows:
-        if s in part and t in part:
-            arrows[part[s]].append((s, t))
+        arrows[part[s]].append((s, t))
     for y, ty in tq.tau.items():
-        if y in part and ty in part:
-            taus[part[y]][y] = ty
+        taus[part[y]][y] = ty
     return [TranslationQuiver._listed(v, a, t) for v, a, t in zip(verts, arrows, taus)]
 
 

@@ -100,6 +100,31 @@ class TestClassify:
             "  component of 6 vertices: orbit_quiver(k=3, s=0, r=1)\n"
         )
 
+    def test_text_report_counts_further_matches(self, capsys):
+        # tau^-6 ∘ [4] and tau^-9 ∘ [2] are one automorphism of the 2-row strip.
+        code, out, _ = run(capsys, "classify", "--n", "2", "--m", "5")
+        assert code == 0
+        assert out == (
+            "power(gamma(10,1), 5):\n"
+            "  principal component: 6 vertices, gamma(2,5) match: True\n"
+            + "  component of 24 vertices: orbit_quiver(k=2, s=6, r=4) (+1 more)\n" * 2
+        )
+
+    def test_text_report_of_an_unmatched_component(self, capsys, monkeypatch):
+        law = quiverkit.orbit._component_law
+        monkeypatch.setattr(
+            quiverkit.orbit,
+            "_component_law",
+            lambda n, m: [(k, S + 1, rho) for k, S, rho in law(n, m)],
+        )
+        code, out, _ = run(capsys, "classify", "--n", "2", "--m", "3")
+        assert code == 0
+        assert out == (
+            "power(gamma(6,1), 3):\n"
+            "  principal component: 4 vertices, gamma(2,3) match: True\n"
+            "  component of 16 vertices: unmatched\n"
+        )
+
     def test_cap_exit_code(self, capsys):
         code, _, err = run(
             capsys, "classify", "--n", "4", "--m", "3", "--cap", "10"

@@ -164,6 +164,18 @@ class TestStripRule:
         assert rule.arrows_from((0, 2)) == ((0, 3), (1, 1))
         assert rule.arrows_into((1, 1)) == ((0, 2),)
 
+    def test_arrows_into_inverts_arrows_from(self):
+        # Every row of ZA_4, so both branches of each rule run.
+        rule = ZARule(4)
+        window = rule.window(-3, 3).sorted_vertices()
+        for v in window:
+            into = rule.arrows_into(v)
+            assert all(v in rule.arrows_from(u) for u in into), v
+            assert all(v in rule.arrows_into(w) for w in rule.arrows_from(v)), v
+            # Every source of an arrow into v is a vertex of the slices p-1 and p.
+            sources = [(p, i) for p in (v[0] - 1, v[0]) for i in range(1, 5)]
+            assert sorted(into) == sorted(u for u in sources if v in rule.arrows_from(u)), v
+
     def test_translation(self):
         rule = ZARule(3)
         assert rule.tau((5, 2)) == (4, 2)
