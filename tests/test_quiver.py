@@ -102,12 +102,22 @@ class TestValidation:
         assert not res.ok
         assert any(v.kind == "tau-injectivity" for v in res.violations)
 
+    def test_stray_arrow_endpoint_is_flagged(self):
+        # A stray end is flagged when the quiver is built, so no quiver
+        # that reaches validation has one.
+        with pytest.raises(ValueError, match="'ghost' is not a vertex"):
+            Quiver(["a"], [("a", "ghost")])
+
     def test_self_loop_is_flagged(self):
         tq = TranslationQuiver(Quiver(["a"], [("a", "a")]), {})
         assert any(
             v.kind == "self-loop"
             for v in validate_translation_quiver(tq).violations
         )
+
+    def test_tau_image_outside_vertices_is_flagged(self):
+        with pytest.raises(ValueError, match="'ghost' is not a vertex"):
+            TranslationQuiver(Quiver(["a"]), {"a": "ghost"})
 
 
 class TestComponents:
