@@ -43,12 +43,17 @@ k (column k of C), mutation at k sets
 and mutates C as the lower half of the extended matrix [B; C].  This
 relies on sign coherence: every c-vector is nonzero with all entries of
 one sign, a theorem for skew-symmetrizable B (Gross-Hacking-Keel-
-Kontsevich 2018).  A seed is keyed by its sorted g-vectors and B
-permuted to match.  For such B, cluster variables are determined by
-their g-vectors (same source) and the exchange graph does not depend on
-the coefficients (Cao-Huang-Li 2020), so this key identifies exactly the
-seeds that the fractions do.  A fraction is computed only when an
-admitted seed brings a g-vector not met before, by one exchange
+Kontsevich 2018).  A seed is keyed by the set of its g-vectors.  For
+such B, cluster variables are determined by their g-vectors (same
+source), so the key fixes the cluster.  The cluster fixes the seed: C
+starts as the identity and mutation keeps the rank of [B; C], so the
+extended matrix has full rank throughout, and a seed whose extended
+matrix has full rank is determined by its cluster (Gekhtman-Shapiro-
+Vainshtein 2008).  The exchange graph does not depend on the
+coefficients (Cao-Huang-Li 2020), so this key identifies exactly the
+seeds that the fractions do.  A step builds the new g-vectors only; B
+and C are mutated when a seed is admitted.  A fraction is computed only
+when an admitted seed brings a g-vector not met before, by one exchange
 relation in the seed it was reached from: a closure does (variables - n)
 exchanges.  Any other sign-skew-symmetric B keeps the fraction closure,
 which runs the exchange relation for every (seed, direction) and keys
@@ -449,12 +454,6 @@ def mutate_seed(seed: Seed, k: int) -> Seed:
     return Seed(cluster=tuple(cluster), matrix=matrix)
 
 
-def _seed_key(labels, rows) -> tuple:
-    """A seed's distinct entry labels sorted, and B's ``rows`` and columns permuted to match."""
-    order = sorted(range(len(labels)), key=labels.__getitem__)
-    return tuple(labels[i] for i in order), tuple(tuple(rows[i][j] for j in order) for i in order)
-
-
 @dataclass(frozen=True)
 class ClosureResult:
     """Breadth-first closure of a seed under all mutations."""
@@ -474,6 +473,7 @@ class _FractionSeeds:
 
     def __init__(self, M0: ExchangeMatrix):
         self.start = initial_seed(M0)
+        self.start_key = self.key(self.start)
         self.found = set(self.start.cluster)
 
     @staticmethod
@@ -483,7 +483,10 @@ class _FractionSeeds:
         Each cluster the closure reaches is a free generating set of
         ZZ(u_1, ..., u_n), as x_k = (P + Q) / x_k', so its entries differ.
         """
-        return _seed_key([f.sort_key() for f in seed.cluster], seed.matrix._m)
+        labels, rows = [f.sort_key() for f in seed.cluster], seed.matrix._m
+        order = sorted(range(len(labels)), key=labels.__getitem__)
+        permuted = tuple(tuple(rows[i][j] for j in order) for i in order)
+        return tuple(labels[i] for i in order), permuted
 
     def step(self, seed: Seed, c: int) -> Seed:
         return mutate_seed(seed, c + 1)
@@ -497,24 +500,26 @@ class _FractionSeeds:
 
 
 class _GVectorSeeds:
-    """Closure seeds as integer triples (B, G, C), keyed by g-vectors.
+    """Closure seeds as integer triples (B, G, C), keyed by their g-vectors.
 
     G is the tuple of the seed's g-vectors and C its c-vector matrix
     (c-vector j is column j), both the identity at the initial seed.  A
-    step builds (B', G') only; C' and, for a g-vector not met before, its
-    fraction are built when the seed is admitted.  ``fractions`` maps
-    every g-vector met to its cluster variable.
+    step builds G' only, as its set is the seed's key (module docstring);
+    B', C' and, for a g-vector not met before, its fraction are built when
+    the seed is admitted.  ``fractions`` maps every g-vector met to its
+    cluster variable.
     """
 
     def __init__(self, M0: ExchangeMatrix):
         eye = tuple(tuple(int(i == j) for j in range(M0.n)) for i in range(M0.n))
         self.start = (M0._m, eye, eye)
+        self.start_key = frozenset(eye)
         self.fractions = dict(zip(eye, initial_cluster(M0.n)))
 
     @staticmethod
-    def key(seed) -> tuple:
-        """Sorted g-vectors and B permuted to match (g-vectors of a seed are distinct)."""
-        return _seed_key(seed[1], seed[0])
+    def key(G) -> frozenset:
+        """The set of the g-vectors ``G``, which fixes the seed."""
+        return frozenset(G)
 
     def step(self, seed, c: int):
         B, G, C = seed
@@ -525,15 +530,14 @@ class _GVectorSeeds:
             a = -eps * r[c]
             if a > 0:
                 g = [x + a * y for x, y in zip(g, gi)]
-        return _mutate_rows(B, B[c], c, c), G[:c] + (tuple(g),) + G[c + 1 :]
+        return G[:c] + (tuple(g),) + G[c + 1 :]
 
-    def admit(self, parent, c: int, seed):
+    def admit(self, parent, c: int, G2):
         B, G, C = parent
-        B2, G2 = seed
         if G2[c] not in self.fractions:
             cluster = tuple(self.fractions[g] for g in G)
             self.fractions[G2[c]] = _exchange(cluster, B, c)
-        return B2, G2, _mutate_rows(C, B[c], c)
+        return _mutate_rows(B, B[c], c, c), G2, _mutate_rows(C, B[c], c)
 
     def variables(self) -> frozenset:
         return frozenset(self.fractions.values())
@@ -542,7 +546,7 @@ class _GVectorSeeds:
 def _closure(M0: ExchangeMatrix, cap: int, kind) -> ClosureResult:
     """Breadth-first closure of ``kind(M0)``'s seeds; at most ``cap`` seeds are admitted."""
     seeds = kind(M0)
-    seen = {seeds.key(seeds.start)}
+    seen = {seeds.start_key}
     queue = deque([seeds.start])
     cap_reached = False
     while queue:
@@ -573,10 +577,13 @@ def enumerate_cluster_variables(M0: ExchangeMatrix, cap: int = 10000) -> Closure
     ``cap_reached=True`` and ``seed_count == cap`` instead of failing.
 
     A skew-symmetrizable ``M0`` takes the g-vector closure: seeds carry
-    integer B, g-vectors and c-vectors, keyed by (sorted g-vectors,
-    permuted B), and one exchange relation is computed per new cluster
-    variable, in the admitted seed's parent, so (variables - n) in all.
-    The g-vector step needs the c-vectors to be sign-coherent, which
+    integer B, g-vectors and c-vectors and are keyed by their set of
+    g-vectors, which determines the seed because [B; C] keeps full rank
+    (C starts as the identity and mutation preserves rank; Gekhtman-
+    Shapiro-Vainshtein 2008).  B and C are mutated once per admitted
+    seed, and one exchange relation is computed per new cluster variable,
+    in the admitted seed's parent, so (variables - n) in all.  The
+    g-vector step needs the c-vectors to be sign-coherent, which
     Gross-Hacking-Keel-Kontsevich (2018) prove for skew-symmetrizable B.
     Any other sign-skew-symmetric ``M0`` falls back to the fraction
     closure, one exchange per (seed, direction) and seeds keyed by their

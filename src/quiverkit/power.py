@@ -42,6 +42,12 @@ from .quiver import TranslationQuiver, Vertex, split_components, vertex_key
 
 Path = tuple[Vertex, ...]
 
+# Stand-ins that equal no vertex, so a vertex named None is an ordinary
+# vertex: the image of a vertex where tau is undefined, and the vertex
+# before the first arrow of a path.
+_NO_TAU = object()
+_NO_PREV = object()
+
 
 def is_sectional(path: Path, tq: TranslationQuiver) -> bool:
     """Whether a path avoids doubling back through the translation.
@@ -53,8 +59,7 @@ def is_sectional(path: Path, tq: TranslationQuiver) -> bool:
         if tq.quiver.arrow_count(s, t) == 0:
             raise ValueError(f"{s!r} -> {t!r} is not an arrow")
     for i in range(1, len(path) - 1):
-        ahead = tq.tau_of(path[i + 1])
-        if ahead is not None and ahead == path[i - 1]:
+        if tq.tau_of(path[i + 1], _NO_TAU) == path[i - 1]:
             return False
     return True
 
@@ -78,7 +83,7 @@ def sectional_paths(tq: TranslationQuiver, length: int) -> list[Path]:
             (*path, t)
             for path in paths
             for t, k in out(path[-1])
-            if len(path) < 2 or (back := tau_of(t)) is None or back != path[-2]
+            if len(path) < 2 or tau_of(t, _NO_TAU) != path[-2]
             for _ in range(k)
         ]
     return paths
@@ -117,14 +122,13 @@ def _count_sectional(tq: TranslationQuiver, m: int) -> TranslationQuiver:
     arrows: list[tuple[Vertex, Vertex]] = []
     for start in q.sorted_vertices():
         # (prev, cur) -> number of sectional paths from start ending in the arrow
-        # prev -> cur.  prev is None before the first arrow and matches no tau image.
-        ends: dict[tuple, int] = {(None, start): 1}
+        # prev -> cur, with prev = _NO_PREV before the first arrow.
+        ends: dict[tuple, int] = {(_NO_PREV, start): 1}
         for _ in range(m):
             step: dict[tuple, int] = {}
             for (prev, cur), count in ends.items():
                 for nxt, mult in out(cur):
-                    back = tau_of(nxt)
-                    if back is None or back != prev:
+                    if tau_of(nxt, _NO_TAU) != prev:
                         step[cur, nxt] = step.get((cur, nxt), 0) + count * mult
             ends = step
         paths: dict[Vertex, int] = {}

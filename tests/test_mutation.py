@@ -372,11 +372,35 @@ class _GVectorsOnly(_CoherentGVectorSeeds):
 
     largest = 1
 
-    def admit(self, parent, c, seed):
-        g = seed[1][c]
+    def admit(self, parent, c, G):
+        g = G[c]
         self.largest = max(self.largest, *map(abs, g))
         self.fractions.setdefault(g, None)  # known, so no exchange is computed
-        return super().admit(parent, c, seed)
+        return super().admit(parent, c, G)
+
+
+class _KeyedWithB(_GVectorSeeds):
+    """The g-vector closure keyed by (sorted g-vectors, B permuted to match),
+    with B' built at every step: the key that the g-vector set replaced."""
+
+    def __init__(self, M0):
+        super().__init__(M0)
+        self.start_key = self.key(self.start[:2])
+
+    @staticmethod
+    def key(seed):
+        B, G = seed
+        order = sorted(range(len(G)), key=G.__getitem__)
+        return tuple(G[i] for i in order), tuple(tuple(B[i][j] for j in order) for i in order)
+
+    def step(self, seed, c):
+        B = seed[0]
+        return mutation._mutate_rows(B, B[c], c, c), super().step(seed, c)
+
+    def admit(self, parent, c, seed):
+        B2, G2 = seed
+        _, _, C2 = super().admit(parent, c, G2)
+        return B2, G2, C2
 
 
 def largest_g_entry(M, cap):
@@ -412,6 +436,23 @@ class TestGVectorClosure:
         got = _closure(M, cap, _CoherentGVectorSeeds)
         assert got == enumerate_cluster_variables(M, cap)
         assert got == _closure(M, cap, _FractionSeeds)
+        assert got == _closure(M, cap, _KeyedWithB)
+
+    @pytest.mark.parametrize(
+        "M",
+        [
+            a_path_matrix(5),
+            exchange(4, (1, 2, 1, 1), (2, 3, 1, 1), (2, 4, 1, 1)),
+            exchange(3, (1, 2, 1, 2), (2, 3, 1, 1)),
+            exchange(2, (1, 2, 1, 3)),
+            exchange(4, (1, 2, 1, 1), (2, 3, 1, 2), (3, 4, 1, 1)),
+            exchange(6, (1, 2, 1, 1), (2, 3, 1, 1), (3, 4, 1, 1), (4, 5, 1, 1), (3, 6, 1, 1)),
+        ],
+        ids=["A_5", "D_4", "B_3", "G_2", "F_4", "E_6"],
+    )
+    def test_the_g_vector_set_keys_the_seed(self, M):
+        # Keying by the g-vectors alone merges no two seeds that B tells apart.
+        assert enumerate_cluster_variables(M) == _closure(M, 10000, _KeyedWithB)
 
     @pytest.mark.parametrize("kind", [_GVectorSeeds, _FractionSeeds])
     def test_rank_one(self, kind):
@@ -441,9 +482,22 @@ class TestGVectorClosure:
     def test_one_exchange_per_new_variable(self, monkeypatch, M, cap):
         exchanges = counting(monkeypatch, "_exchange")
         mutations = counting(monkeypatch, "mutate_seed")
+        row_mutations = counting(monkeypatch, "_mutate_rows")
         res = enumerate_cluster_variables(M, cap)
         assert len(exchanges) == len(res.variables) - M.n
         assert mutations == []
+        # B and C are mutated once per admitted seed, none for the start.
+        assert len(row_mutations) == 2 * (res.seed_count - 1)
+
+    def test_only_admitted_seeds_are_built(self):
+        # B mutated at 2 has the entry 2**80.  The walk reaches that seed
+        # third, so a cap of 2 stops before its B is built.
+        big = 2**40
+        M = ExchangeMatrix([[0, big, 0], [-big, 0, big], [0, -big, 0]])
+        res = enumerate_cluster_variables(M, cap=2)
+        assert (res.seed_count, res.cap_reached) == (2, True)
+        with pytest.raises(ValueError, match="within int64"):
+            enumerate_cluster_variables(M, cap=3)
 
     def test_int64_overflow_is_an_error(self):
         # As in the fraction closure: entry (1,3) of the mutation at 2 is 2**80.
@@ -460,7 +514,7 @@ class TestGVectorClosure:
 
 
 class TestSeedKey:
-    """Both closure kinds key a seed up to simultaneous permutation of entries and B."""
+    """Both closure kinds key a seed up to permutation of its entries."""
 
     M = exchange(4, (1, 2, 1, 1), (2, 3, 1, 2), (3, 4, 1, 1))  # F_4
     PERM = (2, 0, 3, 1)
@@ -490,16 +544,12 @@ class TestSeedKey:
         seed = seeds.start
         for c in (1, 2):
             seed = seeds.admit(seed, c, seeds.step(seed, c))
-        B, G, C = seed
-        # c-vector j is column j of C, so C's columns follow the entries.
-        permuted = (
-            self.permute(B, self.PERM),
-            tuple(G[i] for i in self.PERM),
-            tuple(tuple(r[j] for j in self.PERM) for r in C),
-        )
-        key = _GVectorSeeds.key(seed)
-        assert _GVectorSeeds.key(permuted) == key
-        assert _GVectorSeeds.key((self.bump(B), G, C)) != key
+        G = seed[1]
+        # The key is the set of g-vectors; B and C are not part of it.
+        key = _GVectorSeeds.key(G)
+        assert key == frozenset(G) and len(key) == self.M.n
+        assert _GVectorSeeds.key(tuple(G[i] for i in self.PERM)) == key
+        assert seeds.start_key == frozenset(seeds.start[1])
 
 
 class TestSkewSymmetrizable:

@@ -43,7 +43,7 @@ def brute_sectional_count(tq, src, tgt, length):
             return 1 if path[-1] == tgt else 0
         total = 0
         for nxt in out.get(path[-1], ()):
-            if len(path) >= 2 and tq.tau_of(nxt) == path[-2]:
+            if len(path) >= 2 and nxt in tq.tau and tq.tau[nxt] == path[-2]:
                 continue
             total += walk(path + [nxt])
         return total
@@ -60,7 +60,7 @@ def recursive_sectional_paths(tq, length):
             paths.append(tuple(path))
             return
         for nxt in (t for s, t in tq.arrows if s == path[-1]):
-            if len(path) >= 2 and tq.tau_of(nxt) is not None and tq.tau_of(nxt) == path[-2]:
+            if len(path) >= 2 and nxt in tq.tau and tq.tau[nxt] == path[-2]:
                 continue
             walk(path + [nxt])
 
@@ -89,6 +89,18 @@ class TestSectional:
         g = gamma(6, 1)
         with pytest.raises(ValueError):
             is_sectional(((1, 3), (1, 5)), g)
+
+    @pytest.mark.parametrize("name", [None, "a"])
+    @pytest.mark.parametrize("tau_at_2, sectional", [(True, False), (False, True)])
+    def test_a_vertex_named_none_is_an_ordinary_vertex(self, name, tau_at_2, sectional):
+        # name -> 1 -> 2 doubles back exactly when tau(2) = name.
+        tau = {2: name} if tau_at_2 else {}
+        tq = TranslationQuiver(Quiver([name, 1, 2], [(name, 1), (1, 2)]), tau)
+        path = (name, 1, 2)
+        assert is_sectional(path, tq) is sectional
+        assert sectional_paths(tq, 2) == recursive_sectional_paths(tq, 2) == [path] * sectional
+        assert power(tq, 2).arrows == ((name, 2),) * sectional
+        assert brute_sectional_count(tq, name, 2, 2) == sectional
 
     def test_enumeration_agrees_with_is_sectional(self):
         g = gamma(5, 1)
