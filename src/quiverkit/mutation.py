@@ -31,8 +31,8 @@ when this module loads, so only ``mutate`` and the ``verify`` checks that
 mutate load it.
 
 :func:`enumerate_cluster_variables` walks the exchange graph breadth
-first.  When B is skew-symmetrizable (positive d_i with d_i b_ij =
--d_j b_ji) the walk carries integers only: B, the seed's g-vectors and
+first, for a skew-symmetrizable B (positive d_i with d_i b_ij =
+-d_j b_ji) only.  The walk carries integers: B, the seed's g-vectors and
 its c-vector matrix C, which start as the identity (principal
 coefficients) and mutate by Fomin-Zelevinsky, *Cluster algebras IV*
 (2007), and Nakanishi-Zelevinsky (2012).  With eps the sign of c-vector
@@ -55,9 +55,7 @@ seeds that the fractions do.  A step builds the new g-vectors only; B
 and C are mutated when a seed is admitted.  A fraction is computed only
 when an admitted seed brings a g-vector not met before, by one exchange
 relation in the seed it was reached from: a closure does (variables - n)
-exchanges.  Any other sign-skew-symmetric B keeps the fraction closure,
-which runs the exchange relation for every (seed, direction) and keys
-seeds by their fractions; the same breadth-first loop drives both.
+exchanges.
 """
 
 from __future__ import annotations
@@ -218,12 +216,6 @@ class LaurentFraction:
         """True iff the reduced denominator is plus or minus one monomial."""
         den = self._f.denom
         return len(den) == 1 and abs(den.LC) == 1
-
-    def sort_key(self):
-        return (
-            tuple(sorted(self._f.denom.items())),
-            tuple(sorted(self._f.numer.items())),
-        )
 
     def render(self) -> str:
         """Canonical string, e.g. ``(u_1 + u_2 + 1) / u_1*u_2``."""
@@ -463,42 +455,6 @@ class ClosureResult:
     seed_count: int
 
 
-class _FractionSeeds:
-    """Closure seeds as :class:`Seed` values, keyed by their fractions.
-
-    Every step runs the exchange relation.  This is the closure of a
-    sign-skew-symmetric B that is not skew-symmetrizable, and the oracle
-    that the tests hold the g-vector closure to.
-    """
-
-    def __init__(self, M0: ExchangeMatrix):
-        self.start = initial_seed(M0)
-        self.start_key = self.key(self.start)
-        self.found = set(self.start.cluster)
-
-    @staticmethod
-    def key(seed: Seed) -> tuple:
-        """Sorted fraction keys and B permuted to match.
-
-        Each cluster the closure reaches is a free generating set of
-        ZZ(u_1, ..., u_n), as x_k = (P + Q) / x_k', so its entries differ.
-        """
-        labels, rows = [f.sort_key() for f in seed.cluster], seed.matrix._m
-        order = sorted(range(len(labels)), key=labels.__getitem__)
-        permuted = tuple(tuple(rows[i][j] for j in order) for i in order)
-        return tuple(labels[i] for i in order), permuted
-
-    def step(self, seed: Seed, c: int) -> Seed:
-        return mutate_seed(seed, c + 1)
-
-    def admit(self, parent: Seed, c: int, seed: Seed) -> Seed:
-        self.found.add(seed.cluster[c])
-        return seed
-
-    def variables(self) -> frozenset:
-        return frozenset(self.found)
-
-
 class _GVectorSeeds:
     """Closure seeds as integer triples (B, G, C), keyed by their g-vectors.
 
@@ -544,7 +500,11 @@ class _GVectorSeeds:
 
 
 def _closure(M0: ExchangeMatrix, cap: int, kind) -> ClosureResult:
-    """Breadth-first closure of ``kind(M0)``'s seeds; at most ``cap`` seeds are admitted."""
+    """Breadth-first closure of ``kind(M0)``'s seeds; at most ``cap`` seeds are admitted.
+
+    ``kind`` is :class:`_GVectorSeeds` in :func:`enumerate_cluster_variables`;
+    it is the seam through which tests run oracle closures on the same loop.
+    """
     seeds = kind(M0)
     seen = {seeds.start_key}
     queue = deque([seeds.start])
@@ -570,31 +530,31 @@ def _closure(M0: ExchangeMatrix, cap: int, kind) -> ClosureResult:
 def enumerate_cluster_variables(M0: ExchangeMatrix, cap: int = 10000) -> ClosureResult:
     """All cluster variables reachable from the initial seed of ``M0``.
 
-    Seeds are visited breadth first, directions 1..n in turn from each,
-    and deduplicated as unordered clusters with compatibly permuted
-    matrices.  Only admitted seeds contribute variables: when a new seed
-    would be the (cap + 1)-th, the search stops and the result carries
-    ``cap_reached=True`` and ``seed_count == cap`` instead of failing.
+    ``M0`` must be skew-symmetrizable: positive d_i with d_i b_ij =
+    -d_j b_ji, which implies sign-skew-symmetry.  Any other ``M0``, or
+    ``cap <= 0``, raises ``ValueError``.  Seeds are visited breadth first,
+    directions 1..n in turn from each.  Only admitted seeds contribute
+    variables: when a new seed would be the (cap + 1)-th, the search stops
+    and the result carries ``cap_reached=True`` and ``seed_count == cap``
+    instead of failing.
 
-    A skew-symmetrizable ``M0`` takes the g-vector closure: seeds carry
-    integer B, g-vectors and c-vectors and are keyed by their set of
-    g-vectors, which determines the seed because [B; C] keeps full rank
-    (C starts as the identity and mutation preserves rank; Gekhtman-
+    Seeds carry integer B, g-vectors and c-vectors and are keyed by their
+    set of g-vectors, which determines the seed because [B; C] keeps full
+    rank (C starts as the identity and mutation preserves rank; Gekhtman-
     Shapiro-Vainshtein 2008).  B and C are mutated once per admitted
     seed, and one exchange relation is computed per new cluster variable,
     in the admitted seed's parent, so (variables - n) in all.  The
     g-vector step needs the c-vectors to be sign-coherent, which
     Gross-Hacking-Keel-Kontsevich (2018) prove for skew-symmetrizable B.
-    Any other sign-skew-symmetric ``M0`` falls back to the fraction
-    closure, one exchange per (seed, direction) and seeds keyed by their
-    fractions.  Both give the same variables, seed count and flag where
-    both apply.  ``cap <= 0`` or an ``M0`` that is not
-    sign-skew-symmetric raises ``ValueError``.
     """
     if cap <= 0:
         raise ValueError("cap must be positive")
-    M0.validate()
-    return _closure(M0, cap, _GVectorSeeds if M0.is_skew_symmetrizable() else _FractionSeeds)
+    if not M0.is_skew_symmetrizable():
+        raise ValueError(
+            "matrix is not skew-symmetrizable: "
+            "no positive d_i with d_i*b_ij = -d_j*b_ji for all i, j"
+        )
+    return _closure(M0, cap, _GVectorSeeds)
 
 
 def counting_check(n: int) -> bool:

@@ -17,6 +17,8 @@ from quiverkit.cli import main
 
 
 ANGULATION_SIZES = [(2, 1), (2, 3), (3, 1), (3, 2), (5, 1)]
+# Sign-skew-symmetric, not skew-symmetrizable: d_1 = 2 d_2 = 2 d_3 and d_1 = d_3.
+NOT_SYMMETRIZABLE = "[[0,1,-1],[-2,0,1],[1,-1,0]]"
 
 
 def run(capsys, *argv):
@@ -199,6 +201,35 @@ class TestMutate:
         code, _, err = run(capsys, "mutate", "--matrix", "[[0,1],[1,0]]")
         assert code == 2
         assert "sign-skew" in err
+
+    def test_enumerate_needs_a_skew_symmetrizable_matrix(self):
+        # A fresh interpreter with a time limit: a closure that accepted this
+        # matrix would run without end at the default seed cap.
+        proc = _fresh_python(
+            "import sys\nfrom quiverkit.cli import main\nsys.exit(main(sys.argv[1:]))",
+            "mutate", "--enumerate", "--matrix", NOT_SYMMETRIZABLE,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: matrix is not skew-symmetrizable")
+        assert proc.stderr.count("\n") == 1
+
+    def test_steps_take_any_sign_skew_symmetric_matrix(self, capsys):
+        code, out, _ = run(capsys, "mutate", "--matrix", NOT_SYMMETRIZABLE, "--steps", "1,2,1,3,2,3")
+        assert code == 0
+        expected = {
+            "schema": "quiverkit/1",
+            "matrix": [[0, 1, -1], [-2, 0, 1], [1, -1, 0]],
+            "steps": [1, 2, 1, 3, 2, 3],
+            "cluster": [
+                "(u_2^2*u_3 + u_1^2 + 2*u_1*u_3 + u_3^2) / u_1*u_2^2",
+                "(u_1 + u_3) / u_2",
+                "(u_1^2*u_2*u_3 + u_1*u_2*u_3^2 + u_2^2*u_3^2 + u_1^2*u_3 + 2*u_1*u_3^2 + u_3^3)"
+                " / (u_1*u_2^2 + u_2^3 + u_1*u_2 + u_2*u_3)",
+            ],
+            "matrix_after": [[-1, 1, 1], [-3, 0, -1], [1, 0, 0]],
+        }
+        assert out == json.dumps(expected, indent=2) + "\n"
 
     @pytest.mark.parametrize(
         "matrix",
@@ -487,3 +518,7 @@ class TestArgvFuzz:
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             code = main(argv)
         assert code in (0, 2, 3, 4), argv
+        if argv[0] == "mutate" and "--enumerate" in argv and out in (None, "file"):
+            # Entries in -2..2 and a cap of 5 stay far from every size bound.
+            closable = quiverkit.ExchangeMatrix(json.loads(argv[2])).is_skew_symmetrizable()
+            assert code == (0 if closable else 2), argv
