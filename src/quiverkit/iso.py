@@ -10,13 +10,15 @@ discrete, return the bijection it reads as when :func:`check_iso`
 accepts it; else give the least ``a``-vertex of the smallest
 non-singleton class and, in turn, each ``b``-vertex of that class a
 fresh color.  Branches live on an explicit stack, not the call stack.
-Refinement re-signs only the vertices next to a class that split and
-keeps the largest part of each split in place (Berkholz, Bonsma & Grohe,
-*Tight lower and upper bounds for the complexity of canonical colour
-refinement*, 2017), so a vertex moves O(log V) times and memory is O(V + E).
-Vertices are ordered by :func:`~quiverkit.quiver.vertex_key`, so the
-bijection is deterministic, and whether one is found does not depend
-on the argument order.  Every arrow and tau end is a vertex (the
+Colors are class ids that stay put: refinement re-signs only the
+vertices next to a class that split, keeps the largest part of each
+split under the old id and gives the other parts fresh ids (Berkholz,
+Bonsma & Grohe, *Tight lower and upper bounds for the complexity of
+canonical colour refinement*, 2017).  So a round costs the rows of the
+vertices it touches, a vertex moves O(log V) times and memory is
+O(V + E).  Vertices are ordered by :func:`~quiverkit.quiver.vertex_key`,
+so the bijection is deterministic, and whether one is found does not
+depend on the argument order.  Every arrow and tau end is a vertex (the
 :mod:`~quiverkit.quiver` constructors enforce it), so neither the search
 nor :func:`check_iso` checks for others.
 """
@@ -53,36 +55,33 @@ def _adjacency(tq: TranslationQuiver, offset: int) -> tuple[list, list]:
 def _refine(rows: list, color: list[int], changed: Collection[int]) -> list[int]:
     """Joint color refinement of the rows of both quivers, from ``color``.
 
-    Returns what refinement by rounds returns: each round colors a vertex
-    by its color and the sorted (tag, color) pairs of its row, numbered
-    by sorted signature, until no class splits.  ``changed`` must hold
-    every vertex whose color differs from a stable coloring: all of them
-    at the root, the individualized pair below it.  A round re-signs only
-    the *touched* vertices (``changed`` and its neighbors, then the
-    neighbors of the vertices that left their class) and one untouched
-    member per class, whose signature the others share, as none of their
-    neighbors moved.  A split's largest child keeps the class id, so its
-    members stay put; the children replace their parent in ``order``,
-    sorted by signature, and ``rank`` renumbers ``order`` once per round.
-    Rounds number colors in this order too (by color, then signature),
-    so every round splits the same classes into the same numbers.
+    ``color`` holds class ids, small non-negative ints.  Returns the
+    partition that refinement by rounds returns: each round splits every
+    class by the sorted (tag, class id) pairs of its members' rows, until
+    no class splits.  ``changed`` must hold every vertex whose color
+    differs from a stable coloring: all of them at the root, the
+    individualized pair below it.  A round re-signs only the *touched*
+    vertices (``changed`` and its neighbors, then the neighbors of the
+    vertices that left their class) and one untouched member per class,
+    whose signature the others share, as none of their neighbors moved;
+    so a round costs the rows of the touched vertices, not the number of
+    classes.  Class ids stay put: a split's largest child keeps the id,
+    and the other children take the next free ids.  The ids are returned
+    as they are.
     """
-    palette = {c: i for i, c in enumerate(sorted(set(color)))}
-    cls = [palette[c] for c in color]
-    members: list[set[int]] = [set() for _ in palette]
+    cls = list(color)
+    members: list[set[int]] = [set() for _ in range(max(cls, default=-1) + 1)]
     for v, c in enumerate(cls):
         members[c].add(v)
-    rank = order = list(range(len(members)))
 
     def sign(v: int) -> tuple:
-        return tuple(sorted((tag, rank[cls[w]]) for w, tag in rows[v]))
+        return tuple(sorted((tag, cls[w]) for w, tag in rows[v]))
 
     touched = {w for v in changed for w, _ in rows[v]}.union(changed)
     while touched:
         by_class: dict[int, list[int]] = {}
         for v in touched:
             by_class.setdefault(cls[v], []).append(v)
-        children: dict[int, list[int]] = {}
         moves: list[tuple[int, list[int]]] = []  # made once every class is signed
         for c, vs in by_class.items():
             groups: dict[tuple, list[int]] = {}
@@ -94,26 +93,17 @@ def _refine(rows: list, color: list[int], changed: Collection[int]) -> list[int]
                 groups.setdefault(rest_sig, [])
             if len(groups) == 1:
                 continue
-            sigs = sorted(groups)
-            keep = max(sigs, key=lambda s: len(groups[s]) + rest * (s == rest_sig))
+            keep = max(groups, key=lambda s: len(groups[s]) + rest * (s == rest_sig))
             if rest and rest_sig != keep:
                 groups[rest_sig] += [u for u in members[c] if u not in touched]
-            children[c] = []
-            for s in sigs:
-                children[c].append(c if s == keep else len(members) + len(moves))
-                if s != keep:
-                    moves.append((c, groups[s]))
-        for new, (c, part) in enumerate(moves, len(members)):
+            moves += [(c, part) for s, part in groups.items() if s != keep]
+        for c, part in moves:
             members[c].difference_update(part)
-            members.append(set(part))
             for v in part:
-                cls[v] = new
-        order = [d for c in order for d in children.get(c, (c,))]
-        rank = [0] * len(order)
-        for i, c in enumerate(order):
-            rank[c] = i
+                cls[v] = len(members)
+            members.append(set(part))
         touched = {w for _, part in moves for v in part for w, _ in rows[v]}
-    return [rank[c] for c in cls]
+    return cls
 
 
 def check_iso(a: TranslationQuiver, b: TranslationQuiver, phi: dict) -> bool:
@@ -131,6 +121,9 @@ def iso_translation_quivers(
     a: TranslationQuiver, b: TranslationQuiver, cap: int | None = None
 ) -> dict | None:
     """A vertex bijection a -> b respecting arrows and tau, or ``None``.
+
+    The bijection is deterministic, but which one is returned when there
+    are several is not specified beyond that.
 
     Raises :class:`SizeCapError` when either side exceeds the vertex cap
     (default 5000, overridable via ``QUIVERKIT_CAP``).

@@ -5,8 +5,10 @@ import os
 import re
 import subprocess
 import sys
+import time
 from collections import Counter
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -633,11 +635,14 @@ class TestIsomorphismOracle:
     )
     @settings(max_examples=200, deadline=None)
     def test_agrees_with_networkx(self, pair):
+        # Every _refine call of both searches, failing ones too, must
+        # return the partition of refinement by rounds.
         a, b = pair
-        phi = iso_translation_quivers(a, b)
-        assert (phi is not None) == _networkx_isomorphic(a, b)
-        assert phi is None or check_iso(a, b, phi)
-        assert (iso_translation_quivers(b, a) is None) == (phi is None)
+        with mock.patch("quiverkit.iso._refine", _checked_refine):
+            phi = iso_translation_quivers(a, b)
+            assert (phi is not None) == _networkx_isomorphic(a, b)
+            assert phi is None or check_iso(a, b, phi)
+            assert (iso_translation_quivers(b, a) is None) == (phi is None)
 
 
 def _refine_by_rounds(rows, color):
@@ -657,8 +662,26 @@ def _refine_by_rounds(rows, color):
         ncolors = len(palette)
 
 
+def _partition(color):
+    """``color`` with its colors renumbered by first occurrence: equal
+    exactly when two colorings have the same classes."""
+    first = {}
+    return [first.setdefault(c, len(first)) for c in color]
+
+
+def _checked_refine(rows, color, changed):
+    got = _refine(rows, color, changed)
+    assert _partition(got) == _partition(_refine_by_rounds(rows, color))
+    return got
+
+
 def _joint_rows(a, b):
     return _adjacency(a, 0)[1] + _adjacency(b, len(a.vertices))[1]
+
+
+def _directed_path(n, reverse=False):
+    arrows = [(i + 1, i) if reverse else (i, i + 1) for i in range(n - 1)]
+    return TranslationQuiver(Quiver(range(n), arrows), {})
 
 
 class TestRefinementByRounds:
@@ -670,7 +693,7 @@ class TestRefinementByRounds:
         n = len(a.vertices)
         root = [0] * (2 * n)
         stable = _refine(rows, root, range(2 * n))
-        assert stable == _refine_by_rounds(rows, root)
+        assert _partition(stable) == _partition(_refine_by_rounds(rows, root))
         classes = {}
         for v, c in enumerate(stable):
             classes.setdefault(c, []).append(v)
@@ -682,19 +705,53 @@ class TestRefinementByRounds:
             x, y = vs[0], data.draw(st.sampled_from([v for v in vs if v >= n]))
             color = stable.copy()
             color[x] = color[y] = max(stable) + 1
-            assert _refine(rows, color, (x, y)) == _refine_by_rounds(rows, color)
+            got = _refine(rows, color, (x, y))
+            assert _partition(got) == _partition(_refine_by_rounds(rows, color))
+
+    @given(pair=oracle_pairs(), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_classes_that_do_not_split_keep_their_color(self, pair, data):
+        # Colors are class ids: only the parts split off a class get new ones.
+        a, _ = pair
+        rows = _joint_rows(*pair)
+        n = len(a.vertices)
+        stable = _refine(rows, [0] * (2 * n), range(2 * n))
+        x, y = data.draw(st.integers(0, n - 1)), data.draw(st.integers(n, 2 * n - 1))
+        color = stable.copy()
+        color[x] = color[y] = max(stable) + 1
+        got = _refine(rows, color, (x, y))
+        classes = {}
+        for v, c in enumerate(color):
+            classes.setdefault(c, set()).add(got[v])
+        for c, colors in classes.items():
+            assert len(colors) > 1 or colors == {c}
 
     def test_directed_path_against_its_reverse(self):
         # Each round splits off one more vertex from each end of both
         # paths, so refinement runs about 150 rounds deep.
         n = 300
-        a = TranslationQuiver(Quiver(range(n), [(i, i + 1) for i in range(n - 1)]), {})
-        b = TranslationQuiver(Quiver(range(n), [(i + 1, i) for i in range(n - 1)]), {})
-        rows = _joint_rows(a, b)
+        rows = _joint_rows(_directed_path(n), _directed_path(n, reverse=True))
         root = [0] * (2 * n)
         stable = _refine(rows, root, range(2 * n))
-        assert stable == _refine_by_rounds(rows, root)
+        assert _partition(stable) == _partition(_refine_by_rounds(rows, root))
         assert len(set(stable)) == n
+
+    def test_path_against_its_reverse_at_the_cap(self):
+        # About n/2 rounds, each splitting a constant number of classes:
+        # a round's cost follows the vertices it touches, not the number
+        # of classes, so 4 times the vertices takes far less than 16 times
+        # the time.
+        def best_of_3(n):
+            a, b = _directed_path(n), _directed_path(n, reverse=True)
+            best = float("inf")
+            for _ in range(3):
+                t0 = time.perf_counter()
+                phi = iso_translation_quivers(a, b)
+                best = min(best, time.perf_counter() - t0)
+            assert phi == {i: n - 1 - i for i in range(n)}
+            return best
+
+        assert best_of_3(5000) / best_of_3(1250) < 8
 
 
 class TestTauOrbits:
