@@ -48,13 +48,7 @@ from .polygon import (
     normalize_pair,
     row_of,
 )
-from .power import (
-    compose_tau,
-    is_sectional,
-    power,
-    principal_component,
-    sectional_paths,
-)
+from .power import compose_tau, is_sectional, power, sectional_paths
 from .quiver import (
     Quiver,
     TranslationQuiver,
@@ -113,7 +107,6 @@ __all__ = [
     "normalize_pair",
     "orbit_quiver",
     "power",
-    "principal_component",
     "quiver_json_dict",
     "row_of",
     "run_checks",

@@ -18,7 +18,7 @@ import functools
 import json
 import sys
 
-from .config import default_vertex_cap
+from .config import DEFAULT_SEED_CAP, default_vertex_cap
 from .errors import SizeCapError
 from .export import (
     SCHEMA, _dump, angulations_json, components_dot, components_json, to_dot, to_json,
@@ -194,7 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--matrix", required=True, help="JSON rows, e.g. [[0,1],[-1,0]]")
     p.add_argument("--steps", default="", help="1-based directions, e.g. 1,2,1")
     p.add_argument("--enumerate", action="store_true")
-    p.add_argument("--cap", type=int, default=10000, help="seed cap for --enumerate")
+    p.add_argument("--cap", type=int, default=DEFAULT_SEED_CAP, help="seed cap for --enumerate")
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("angulations", help="maximal non-crossing diagonal collections")

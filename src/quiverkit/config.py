@@ -1,14 +1,16 @@
 """Size caps.
 
-The default vertex cap guards the isomorphism search and bounds the
-work of ``principal_component`` and ``classify_components`` on outside
-input: they refuse an (n, m) before building ``gamma(n*m, 1)`` when it
-would have more vertices than the cap.  ``QUIVERKIT_CAP`` in the
-environment overrides it.  The builders ``gamma``, ``power`` and
-``orbit_quiver`` are not capped.  Angulation enumeration has its own
-polygon-size cap because its output grows like a Fuss-Catalan number.
-Every cap must be positive: a cap below 1 is a ``ValueError``, which the
-command line reports as a usage error.
+The default vertex cap (5000) guards the isomorphism search and bounds
+the split of ``power(gamma(n*m, 1), m)`` that ``classify_components``
+and verify's power checks run on outside input: they refuse an (n, m)
+before building ``gamma(n*m, 1)`` when it would have more vertices than
+the cap.  ``QUIVERKIT_CAP`` in the environment overrides it.  The
+builders ``gamma``, ``power`` and ``orbit_quiver`` are not capped.
+Angulation enumeration has its own polygon-size cap (16) because its
+output grows like a Fuss-Catalan number.  The mutation closure stops at
+its seed cap (10000 seeds by default, ``mutate --cap``).  Every cap must
+be positive: a cap below 1 is a ``ValueError``, which the command line
+reports as a usage error.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import os
 
 DEFAULT_VERTEX_CAP = 5000
 DEFAULT_ANGULATION_POLYGON_CAP = 16
+DEFAULT_SEED_CAP = 10000
 
 
 def default_vertex_cap() -> int:

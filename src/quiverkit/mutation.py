@@ -66,6 +66,7 @@ from functools import lru_cache
 from math import comb
 from typing import TYPE_CHECKING
 
+from .config import DEFAULT_SEED_CAP
 from .polygon import gamma
 
 if TYPE_CHECKING:
@@ -527,7 +528,7 @@ def _closure(M0: ExchangeMatrix, cap: int, kind) -> ClosureResult:
     )
 
 
-def enumerate_cluster_variables(M0: ExchangeMatrix, cap: int = 10000) -> ClosureResult:
+def enumerate_cluster_variables(M0: ExchangeMatrix, cap: int = DEFAULT_SEED_CAP) -> ClosureResult:
     """All cluster variables reachable from the initial seed of ``M0``.
 
     ``M0`` must be skew-symmetrizable: positive d_i with d_i b_ij =

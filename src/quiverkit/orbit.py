@@ -268,13 +268,13 @@ def classify_components(n: int, m: int, cap: int | None = None) -> ComponentRepo
     """Decompose the m-th power of the diagonal quiver and tag each component.
 
     The component through (1, m+2) is compared with gamma(n, m) for
-    equality (see :func:`~quiverkit.power.principal_component`); every
-    other component takes its strip normal form from
-    :func:`_component_law`, in component order, and one isomorphism test
-    confirms it (see the module docstring).  ``all_matches`` lists every
-    (k, s, r) with 1 <= r <= m, s >= 0 and k < n*m that gives the
-    component's automorphism, least first; ``match`` is None when the test
-    fails.  A law with more or fewer forms than components raises
+    equality, as verify's power-theorem sweep does (see
+    :mod:`~quiverkit.power`); every other component takes its strip
+    normal form from :func:`_component_law`, in component order, and one
+    isomorphism test confirms it (see the module docstring).
+    ``all_matches`` lists every (k, s, r) with 1 <= r <= m, s >= 0 and
+    k < n*m that gives the component's automorphism, least first;
+    ``match`` is None when the test fails.  A law with more or fewer forms than components raises
     ``ValueError``.
 
     The odd-m formula (r_f, s_f) = ((m-1)/2, (m-1)(n-1)/2 + 1) matches no

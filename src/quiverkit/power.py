@@ -23,16 +23,18 @@ in that closed form; orbit quotients, split parts and hand-built quivers
 take the path count, which stays the oracle for the closed form.  In
 particular the m-th power of ``gamma(N-2, 1)`` has the arrows and the
 translation of ``gamma(n, m)`` on the m-diagonals when ``N = n*m + 2``,
-so its component that holds them is ``gamma(n, m)`` label for label, and
-:func:`principal_component` checks it by equality, not by an isomorphism
-search.  Both forms walk the base's sorted vertices, so a power lists in
+so its component that holds them is ``gamma(n, m)`` label for label.
+:func:`_gamma_power_components` is the one place that builds and splits
+that power; ``classify_components`` and verify's power-theorem sweep
+check the equality, not by an isomorphism search.  Both forms walk the
+base's sorted vertices, so a power lists in
 :func:`~quiverkit.quiver.vertex_key` order; the count sorts only targets.
 """
 
 from __future__ import annotations
 
 from .config import _vertex_cap
-from .errors import QuiverkitError, SizeCapError
+from .errors import SizeCapError
 # Not called here.  perfbench's tracer test lists this module among the
 # holders of the search that its tracer rebinds; drop this import together
 # with "power" from that list.
@@ -160,20 +162,3 @@ def _gamma_power_components(
     comps = split_components(power(gamma(n * m, 1), m))
     principal = next(c for c in comps if seed in c.vertices)
     return principal, [c for c in comps if c is not principal]
-
-
-def principal_component(n: int, m: int, cap: int | None = None) -> TranslationQuiver:
-    """The component of ``power(gamma(n*m, 1), m)`` through the vertex (1, m+2).
-
-    That component equals ``gamma(n, m)``, labels included, because the
-    sectional paths of ``gamma(n*m, 1)`` are straight (see the module
-    docstring).  The equality is verified, and a :class:`QuiverkitError`
-    means a genuine defect, not a recoverable condition.
-    """
-    comp, _ = _gamma_power_components(n, m, cap)
-    if comp != gamma(n, m):
-        raise QuiverkitError(
-            f"component through (1, {m + 2}) of the {m}-th power of "
-            f"gamma({n * m},1) is not gamma({n},{m})"
-        )
-    return comp

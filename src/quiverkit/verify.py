@@ -15,7 +15,6 @@ import time
 from dataclasses import dataclass
 from typing import Callable
 
-from .errors import QuiverkitError
 from .iso import check_iso, iso_translation_quivers
 from .mutation import (
     ExchangeMatrix,
@@ -29,8 +28,8 @@ from .mutation import (
 )
 from .orbit import _component_law, _diagonal_labels, classify_components, orbit_quiver
 from .polygon import enumerate_angulations, gamma, row_of
-from .power import _count_sectional, power, principal_component
-from .quiver import connected_components, split_components, validate_translation_quiver
+from .power import _count_sectional, _gamma_power_components, power
+from .quiver import validate_translation_quiver
 
 # The diagonal quiver of the hexagon, frozen from the drawn picture:
 # 9 diagonals, 12 arrows, translation (i,j) -> (i-1,j-1).
@@ -97,26 +96,17 @@ def check_octagon_vertices() -> tuple[bool, str]:
 
 
 def check_octagon_power_components() -> tuple[bool, str]:
-    comps = split_components(power(gamma(6, 1), 2))
-    sizes = [len(c.vertices) for c in comps]
-    ok = sizes == [8, 6, 6]
+    big, rest = _gamma_power_components(3, 2, None)
+    sizes = [len(c.vertices) for c in (big, *rest)]
+    ok = sizes == [8, 6, 6] and big == gamma(3, 2)
     if ok:
-        big = comps[0]
-        ok = (1, 4) in big.vertices
-        ok = ok and big == gamma(3, 2)
         reference = orbit_quiver(3, 0, 1).quotient
-        for small in comps[1:]:
-            ok = ok and iso_translation_quivers(small, reference) is not None
+        ok = all(iso_translation_quivers(small, reference) is not None for small in rest)
     return ok, f"component sizes {sizes}; (1,4)-component is gamma(3,2)"
 
 
-def _theorem_pairs(max_ngon: int = 14) -> list[tuple[int, int]]:
-    pairs = []
-    for m in range(1, max_ngon - 1):
-        for n in range(2, max_ngon):
-            if n * m + 2 <= max_ngon:
-                pairs.append((n, m))
-    return sorted(pairs)
+def _theorem_pairs() -> list[tuple[int, int]]:
+    return [(n, m) for n in range(2, 13) for m in range(1, 13) if n * m + 2 <= 14]
 
 
 def check_power_theorem_sweep() -> tuple[bool, str]:
@@ -127,10 +117,11 @@ def check_power_theorem_sweep() -> tuple[bool, str]:
         base = gamma(n * m, 1)
         if power(base, m) != _count_sectional(base, m):
             return False, f"power(gamma({n * m},1), {m}) differs from its sectional-path count"
-        try:
-            principal_component(n, m)
-        except QuiverkitError as exc:
-            return False, f"failed at (n,m)=({n},{m}): {exc}"
+        if _gamma_power_components(n, m, None)[0] != gamma(n, m):
+            return False, (
+                f"failed at (n,m)=({n},{m}): component through (1, {m + 2}) of the "
+                f"{m}-th power of gamma({n * m},1) is not gamma({n},{m})"
+            )
     return True, (
         f"{len(pairs)} pairs (n,m) with n*m+2 <= 14, all equal to gamma(n,m); "
         "closed-form powers equal the sectional-path count"
@@ -244,12 +235,11 @@ def check_angulations() -> tuple[bool, str]:
 def check_row_property() -> tuple[bool, str]:
     for n, m in ((2, 3), (3, 3)):
         N = n * m + 2
-        base = gamma(n * m, 1)
-        comps = connected_components(power(base, m))
-        comp_of = {v: idx for idx, comp in enumerate(comps) for v in comp}
+        principal, rest = _gamma_power_components(n, m, None)
         rows: dict[int, set[int]] = {}
-        for v in base.vertices:
-            rows.setdefault(row_of(v, N), set()).add(comp_of[v])
+        for idx, comp in enumerate((principal, *rest)):
+            for v in comp.vertices:
+                rows.setdefault(row_of(v, N), set()).add(idx)
         bad = {r: c for r, c in rows.items() if len(c) != 1}
         if bad:
             return False, f"(n,m)=({n},{m}): rows split across components: {bad}"

@@ -1,13 +1,16 @@
-"""Acceptance suite: every named verify check, plus the stated runtime budgets.
+"""Acceptance suite: every named verify check, the stated runtime budgets
+and the package's public names.
 
 The checks come from verify's own table, so a check added there is
 asserted here too.  Budgets are asserted on warm in-process timings.
 """
 
 import time
+import types
 
 import pytest
 
+import quiverkit
 from quiverkit import (
     check_names,
     gamma,
@@ -71,3 +74,15 @@ def test_07_mutation():
     names = ("mutation-involution", "mutation-closure", "counting")
     elapsed = sum(run_check(name).seconds for name in names)
     report("mutation", elapsed < 5.0, f"{elapsed:.2f}s")
+
+
+def test_all_lists_the_public_names():
+    # Sorted with no repeats, and exactly the package attributes that are
+    # public and not submodules.
+    names = quiverkit.__all__
+    assert names == sorted(set(names))
+    public = {
+        name for name, value in vars(quiverkit).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert public == set(names)

@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -19,6 +20,22 @@ from quiverkit.cli import main
 ANGULATION_SIZES = [(2, 1), (2, 3), (3, 1), (3, 2), (5, 1)]
 # Sign-skew-symmetric, not skew-symmetrizable: d_1 = 2 d_2 = 2 d_3 and d_1 = d_3.
 NOT_SYMMETRIZABLE = "[[0,1,-1],[-2,0,1],[1,-1,0]]"
+# verify's stdout at the default cap, with each check's seconds masked.
+VERIFY_STDOUT = """\
+[PASS] hexagon-quiver (0.123s): 9 vertices, 12 arrows, exact match
+[PASS] octagon-vertices (0.123s): vertex set of gamma(3,2) = [(1, 4), (1, 6), (2, 5), (2, 7), (3, 6), (3, 8), (4, 7), (5, 8)]
+[PASS] octagon-power-components (0.123s): component sizes [8, 6, 6]; (1,4)-component is gamma(3,2)
+[PASS] power-theorem-sweep (0.123s): 23 pairs (n,m) with n*m+2 <= 14, all equal to gamma(n,m); closed-form powers equal the sectional-path count
+[PASS] power-stability-sweep (0.123s): 36 powers validated, all stable
+[PASS] orbit-model-pinning (0.123s): 23 quotients match gamma(k+1,m), incl. (3,1,1) and (2,1,2)
+[PASS] mutation-involution (0.123s): 200 random matrices and all A_1..A_3 seeds involutive
+[PASS] mutation-closure (0.123s): A_2 -> 5 variables, A_3 -> 9, all Laurent: True
+[PASS] counting (0.123s): variable and cluster counts equal diagonal and triangulation counts for n in 1..4
+[PASS] angulations (0.123s): Catalan counts 2,5,14,42,132 and 12 octagon quadrangulations
+[PASS] row-property (0.123s): each row of gamma(n*m,1) sits in one component for (2,3) and (3,3)
+[PASS] classification-hypothesis (0.123s): principal = gamma(n,m), the others follow the component law: (n,m)=(2,3): 16->(k=2,s=5,r=2); (n,m)=(4,3): 56->(k=4,s=9,r=2); (n,m)=(2,5): 24->(k=2,s=6,r=4), 24->(k=2,s=6,r=4); (n,m)=(3,2): 6->(k=3,s=0,r=1), 6->(k=3,s=0,r=1); (n,m)=(2,4): 10->(k=2,s=2,r=2), 10->(k=2,s=2,r=2), 10->(k=2,s=2,r=2)
+all hard checks passed
+"""
 
 
 def run(capsys, *argv):
@@ -436,6 +453,15 @@ class TestVerify:
     def test_unknown_filter(self, capsys):
         code, _, err = run(capsys, "verify", "--only", "nothing-here")
         assert code == 2
+
+    @pytest.mark.parametrize("seed", ["2024", "7"])
+    def test_stdout_is_pinned_and_seed_free(self, capsys, monkeypatch, seed):
+        # Every check's detail text, passing ones included; --seed only
+        # changes the random matrices, not the text.
+        monkeypatch.delenv("QUIVERKIT_CAP", raising=False)
+        code, out, _ = run(capsys, "verify", "--seed", seed)
+        assert code == 0
+        assert re.sub(r"\(\d+\.\d{3}s\)", "(0.123s)", out) == VERIFY_STDOUT
 
 
 class TestOutputFile:

@@ -23,12 +23,12 @@ from quiverkit import (
     iso_translation_quivers,
     orbit_quiver,
     power,
-    principal_component,
     sectional_paths,
     split_components,
     validate_translation_quiver,
 )
 from quiverkit.polygon import DiagonalQuiver
+from quiverkit.power import _gamma_power_components
 from quiverkit.verify import _theorem_pairs, check_power_theorem_sweep
 
 
@@ -274,15 +274,15 @@ class TestDecompose:
 
 class TestPrincipalComponent:
     def test_octagon_case(self):
-        comp = principal_component(3, 2)
+        comp = _gamma_power_components(3, 2, None)[0]
         assert iso_translation_quivers(comp, gamma(3, 2)) is not None
 
     def test_three_divisible_diagonals_of_the_octagon(self):
-        comp = principal_component(2, 3)
+        comp = _gamma_power_components(2, 3, None)[0]
         assert sorted(comp.vertices) == [(1, 5), (2, 6), (3, 7), (4, 8)]
 
     def test_first_power_returns_the_quiver_itself(self):
-        comp = principal_component(4, 1)
+        comp = _gamma_power_components(4, 1, None)[0]
         assert comp.vertices == gamma(4, 1).vertices
         assert comp.arrows == gamma(4, 1).arrows
 
@@ -292,11 +292,11 @@ class TestPrincipalComponent:
         pairs = _theorem_pairs() + [(40, 1), (46, 1)]
         assert len(pairs) == 25
         for n, m in pairs:
-            assert principal_component(n, m) == gamma(n, m), (n, m)
+            assert _gamma_power_components(n, m, None)[0] == gamma(n, m), (n, m)
 
     def test_size_cap(self):
         with pytest.raises(SizeCapError):
-            principal_component(10, 2, cap=50)
+            _gamma_power_components(10, 2, 50)
 
     def test_failed_iso_fails_the_sweep_under_optimize(self):
         # ``python -O`` strips asserts; a principal component that is not
@@ -340,6 +340,6 @@ class TestPrincipalComponent:
 
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
-            principal_component(1, 1)
+            _gamma_power_components(1, 1, None)
         with pytest.raises(ValueError):
             power(gamma(4, 1), 0)
