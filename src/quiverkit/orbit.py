@@ -225,10 +225,11 @@ def _component_law(n: int, m: int) -> list[tuple[int, int, int]]:
     N - g diagonals have gap g; a part's gaps are closed under g ↦ N - g,
     so G of them carry G*N/2 diagonals: nN for a pair of classes, nN/2
     for class 1 + m/2, halved by each even-m split (i ↦ i + 1 swaps a).
-    With k = n, S follows from the size k*S + rho*k(k+1)/2.  That k = n,
-    that rho = 1 exactly on fixed keys and that each orbit is connected
-    are not derived: :func:`classify_components` confirms each form with
-    an isomorphism test.
+    With k = n, S follows from the size k*S + rho*k(k+1)/2.  That each
+    orbit is connected is derived with the closed-form split of
+    :class:`~quiverkit.polygon.DiagonalQuiver`, which these components come
+    from.  That k = n and that rho = 1 exactly on fixed keys are not:
+    :func:`classify_components` confirms each form with an isomorphism test.
     """
     N = n * m + 2
     if m % 2:

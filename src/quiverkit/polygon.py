@@ -25,10 +25,11 @@ with hand-labeled pictures.
 from __future__ import annotations
 
 from itertools import combinations_with_replacement, product
+from math import gcd
 
 from .config import DEFAULT_ANGULATION_POLYGON_CAP
 from .errors import SizeCapError
-from .quiver import TranslationQuiver
+from .quiver import Quiver, TranslationQuiver
 
 Diagonal = tuple[int, int]
 
@@ -117,15 +118,66 @@ def row_of(d: tuple[int, int], N: int) -> int:
 class DiagonalQuiver(TranslationQuiver):
     """A translation quiver of diagonals of the N-gon whose arrows move one end ``step`` on.
 
-    Built only by :func:`gamma` and by :func:`~quiverkit.power.power` of
-    such a quiver; its vertex set is closed under moving an end of a
-    diagonal ``step`` labels on while the result is a diagonal.
+    Built only by :func:`gamma`, by :func:`~quiverkit.power.power` of a
+    diagonal quiver and by :func:`~quiverkit.quiver.split_components` of
+    one.  It stores ``N``, ``step`` and its sorted vertices; its arrows
+    and translation are built by :func:`_diagonal_listings` the first time
+    anything reads them.
+
+    Name a diagonal by a start x and a clockwise gap g, 2 <= g <= N - 2;
+    ``(i, j)`` has the two names ``(i, j-i)`` and ``(j, N-j+i)``.  With
+    s = ``step`` and d = gcd(s, N), its *key class* is (x mod d, g mod s).
+    The vertex set is a union of whole key classes: ``gamma(n, m)`` takes
+    every gap 1 mod m, a power keeps the vertices and multiplies s, which
+    makes s and d multiples of what they were and so refines the classes,
+    and a part is a union of classes.
+
+    That makes the split a closed form (:meth:`_split`).  The arrows
+    (x, g) -> (x, g+s) and (x, g) -> (x+s, g-s) and the translation
+    (x-s, g) keep the key class, so a component lies inside the classes
+    of its diagonals' two names.  Within a whole class the translation
+    reaches every start x' = x mod d, as s generates dZ/NZ, and the first
+    arrow walks g through every gap of the class.  So the components are
+    exactly the orbits of the key (c, a) = ((j-i) mod s, i mod d) of
+    ``(i, j)`` under the renaming (c, a) -> ((N-c) mod s, (a+c) mod d).
     """
 
-    __slots__ = ("N", "step")
+    __slots__ = ("N", "step", "_verts")
+
+    def __getattr__(self, name: str):
+        # Runs only while a slot is unset: the first read of _quiver or _tau
+        # builds both.  Threads racing on it build equal listings.
+        if name not in ("_quiver", "_tau"):
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        self._quiver, self._tau = _diagonal_listings(self.N, self.step, self._verts)
+        return getattr(self, name)
+
+    def sorted_vertices(self) -> list[Diagonal]:
+        return list(self._verts)
+
+    def _split(self) -> list[DiagonalQuiver]:
+        """The components, in :func:`~quiverkit.quiver.connected_components` order.
+
+        Each vertex goes to the orbit of its key; orbits come in order of
+        their least vertex, and the sort by size is stable.
+        """
+        N, s = self.N, self.step
+        d = gcd(s, N)
+        parts: dict[tuple[int, int], list[Diagonal]] = {}
+        for v in self._verts:
+            c, a = (v[1] - v[0]) % s, v[0] % d
+            parts.setdefault(min((c, a), ((N - c) % s, (a + c) % d)), []).append(v)
+        return [_diagonal_quiver(N, s, p) for p in sorted(parts.values(), key=len, reverse=True)]
 
 
 def _diagonal_quiver(N: int, step: int, verts: list[Diagonal]) -> DiagonalQuiver:
+    """The diagonal quiver with ``step`` on ``verts``, in vertex_key order; nothing listed yet."""
+    dq = DiagonalQuiver.__new__(DiagonalQuiver)
+    dq.N, dq.step, dq._verts = N, step, tuple(verts)
+    return dq
+
+
+def _diagonal_listings(N: int, step: int, verts: tuple[Diagonal, ...]) -> tuple[Quiver, dict]:
     """Arrows ``(i,j) -> (i,j+step)`` and ``(i,j) -> (i+step,j)`` on ``verts``, tau back by step.
 
     The first arrow exists iff ``j - i + step <= N - 2`` (folded to
@@ -145,9 +197,7 @@ def _diagonal_quiver(N: int, step: int, verts: list[Diagonal]) -> DiagonalQuiver
             arrows.append((d, (i + step, j)))
         a, b = (i - step - 1) % N + 1, (j - step - 1) % N + 1
         tau[d] = (a, b) if a < b else (b, a)
-    dq = DiagonalQuiver._listed(verts, arrows, tau)
-    dq.N, dq.step = N, step
-    return dq
+    return Quiver._listed(verts, arrows), tau
 
 
 def gamma(n: int, m: int = 1) -> DiagonalQuiver:

@@ -12,22 +12,26 @@ them).  Powers of a connected quiver are usually disconnected;
 translation quivers.
 
 A diagonal quiver of an N-gon with step s (``gamma(n, s)``, or a power
-of one) has the arrows ``(i, j) -> (i, j+s)`` and ``(i, j) -> (i+s, j)``
-and the translation ``(i-s, j-s)``, labels modulo N.  A path that moves
-one end and then the other, ``(i, j) -> (i, j+s) -> (i+s, j+s)``, ends at
-a vertex whose translate is its start, so the sectional paths are the
-straight ones: a sectional path of length k from ``(i, j)`` ends at
-``(i, j+s*k)`` or ``(i+s*k, j)``, and the k-th power is the diagonal
-quiver with step ``s*k`` on the same vertices.  :func:`power` builds it
-in that closed form; orbit quotients, split parts and hand-built quivers
-take the path count, which stays the oracle for the closed form.  In
-particular the m-th power of ``gamma(N-2, 1)`` has the arrows and the
-translation of ``gamma(n, m)`` on the m-diagonals when ``N = n*m + 2``,
-so its component that holds them is ``gamma(n, m)`` label for label.
-:func:`_gamma_power_components` is the one place that builds and splits
-that power; ``classify_components`` and verify's power-theorem sweep
-check the equality, not by an isomorphism search.  Both forms walk the
-base's sorted vertices, so a power lists in
+or a part of one) has the arrows ``(i, j) -> (i, j+s)`` and
+``(i, j) -> (i+s, j)`` and the translation ``(i-s, j-s)``, labels
+modulo N.  A path that moves one end and then the other,
+``(i, j) -> (i, j+s) -> (i+s, j+s)``, ends at a vertex whose translate
+is its start, so the sectional paths are the straight ones: a
+sectional path of length k from ``(i, j)`` ends at ``(i, j+s*k)`` or
+``(i+s*k, j)``, and the k-th power is the diagonal quiver with step
+``s*k`` on the same vertices.  :func:`power` builds it in that closed
+form and lists nothing: the power lists its arrows and tau when they
+are first read.  :func:`~quiverkit.quiver.split_components`
+splits a diagonal quiver into diagonal quivers by a closed-form key, so
+the powers of those parts take the closed form too.  Orbit quotients and
+hand-built quivers take the path count, which stays the oracle for the
+closed form.  In particular the m-th power of ``gamma(N-2, 1)`` has the
+arrows and the translation of ``gamma(n, m)`` on the m-diagonals when
+``N = n*m + 2``, so its component that holds them is ``gamma(n, m)``
+label for label.  :func:`_gamma_power_components` is the one place that
+builds and splits that power; ``classify_components`` and verify's
+power-theorem sweep check the equality, not by an isomorphism search.
+Both forms walk the base's sorted vertices, so a power lists in
 :func:`~quiverkit.quiver.vertex_key` order; the count sorts only targets.
 """
 
@@ -106,9 +110,9 @@ def power(tq: TranslationQuiver, m: int) -> TranslationQuiver:
     Arrow multiplicity equals the number of sectional paths between the
     endpoints; the translation is the m-fold composite.  For a stable
     input the result is stable again.  A diagonal quiver (built by
-    :func:`~quiverkit.polygon.gamma` or by a power of one) takes the
-    closed form of the module docstring and gives a diagonal quiver
-    again; every other input takes the path count.
+    :func:`~quiverkit.polygon.gamma`, or by a power or a split of one)
+    takes the closed form of the module docstring and gives a diagonal
+    quiver again; every other input takes the path count.
     """
     if m < 1:
         raise ValueError(f"need m >= 1, got m={m}")

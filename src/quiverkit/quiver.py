@@ -21,10 +21,13 @@ follow :func:`vertex_key` (arrows by source, then target), and ``tau``
 the order of its domain.  One rule keeps that order: the public
 constructors sort by :func:`vertex_key`; the builders (``gamma``,
 ``power``, ``orbit_quiver`` and :func:`split_components`) hand
-``TranslationQuiver._listed`` listings already in that order; nothing
-else sorts.  Downstream code reads these listings as they are.  Indexes
-behind ``arrow_count`` and ``out``/``into`` are built on first use;
-threads racing on a first call build equal indexes, so sharing stays
+``_listed`` listings already in that order; nothing else sorts.
+Downstream code reads these listings as they are.  Indexes
+behind ``arrow_count`` and ``out``/``into`` are built on first use, and
+so are the listings of a diagonal quiver
+(:class:`~quiverkit.polygon.DiagonalQuiver`), which holds only its
+sorted vertices until something reads its arrows or tau.  Threads racing
+on a first call build equal indexes and equal listings, so sharing stays
 safe.
 """
 
@@ -86,6 +89,14 @@ class Quiver:
         rank = {v: i for i, v in enumerate(self._sorted)}
         self._vertices, self._index = vertices, None
         self._arrows = tuple(sorted(arrows, key=lambda a: (rank[a[0]], rank[a[1]])))
+
+    @classmethod
+    def _listed(cls, vertices: list[Vertex], arrows: list[Arrow]) -> Quiver:
+        """A quiver on listings in vertex_key order, unchecked."""
+        q = cls.__new__(cls)
+        q._vertices, q._sorted, q._index = frozenset(vertices), tuple(vertices), None
+        q._arrows = tuple(arrows)
+        return q
 
     def _indexes(self) -> tuple[Counter, dict, dict]:
         """Arrow counts and ``out``/``into`` pairs, built on the first query."""
@@ -163,11 +174,8 @@ class TranslationQuiver:
     @classmethod
     def _listed(cls, vertices: list[Vertex], arrows: list[Arrow], tau: dict) -> TranslationQuiver:
         """A translation quiver on listings in vertex_key order: unchecked, ``tau`` not copied."""
-        q = Quiver.__new__(Quiver)
-        q._vertices, q._sorted, q._index = frozenset(vertices), tuple(vertices), None
-        q._arrows = tuple(arrows)
         tq = cls.__new__(cls)
-        tq._quiver, tq._tau = q, tau
+        tq._quiver, tq._tau = Quiver._listed(vertices, arrows), tau
         return tq
 
     @property
@@ -353,8 +361,14 @@ def split_components(tq: TranslationQuiver) -> list[TranslationQuiver]:
     vertex -> part map comes with each part's sorted vertices, and one
     scan of the arrows and tau pairs gives each part its listings in the
     parent's :func:`vertex_key` order, which go to
-    ``TranslationQuiver._listed`` unsorted.
+    ``TranslationQuiver._listed`` unsorted.  A diagonal quiver skips all
+    of that: its ``_split`` groups the sorted vertices by a closed-form
+    key (see :class:`~quiverkit.polygon.DiagonalQuiver`) into parts in the
+    same order, each a diagonal quiver that has not built its listings.
     """
+    split = getattr(tq, "_split", None)
+    if split is not None:
+        return split()
     part, verts = _component_parts(tq)
     arrows: list[list[Arrow]] = [[] for _ in verts]
     taus: list[dict] = [{} for _ in verts]

@@ -1,6 +1,7 @@
 """Sectional paths, quiver powers and their decomposition."""
 
 import importlib
+import json
 import os
 import subprocess
 import sys
@@ -10,7 +11,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_quiver import _listings, mixed_translation_quivers
+from test_quiver import _listings, _rebuilt, mixed_translation_quivers
 
 import quiverkit
 from quiverkit import (
@@ -27,6 +28,7 @@ from quiverkit import (
     split_components,
     validate_translation_quiver,
 )
+from quiverkit.cli import main
 from quiverkit.polygon import DiagonalQuiver
 from quiverkit.power import _gamma_power_components
 from quiverkit.verify import _theorem_pairs, check_power_theorem_sweep
@@ -228,13 +230,59 @@ class TestClosedForm:
         power(gamma(6, 1), 2)
         assert walked == []
         quotient = orbit_quiver(3, 2, 1).quotient
-        part = split_components(power(gamma(6, 1), 2))[0]
         hand_built = TranslationQuiver(gamma(5, 1).quiver, gamma(5, 1).tau)
-        for tq in (quotient, part, hand_built):
+        for tq in (quotient, hand_built):
             pw = power(tq, 2)
             assert not isinstance(pw, DiagonalQuiver)
             assert Counter(pw.arrows) == Counter((p[0], p[-1]) for p in sectional_paths(tq, 2))
-        assert walked == [quotient, part, hand_built]
+        assert walked == [quotient, hand_built]
+
+    def test_split_parts_take_the_closed_form(self):
+        # A part of a diagonal power is a diagonal quiver, so its powers are too.
+        for part in split_components(power(gamma(6, 1), 2)):
+            plain = TranslationQuiver(part.quiver, part.tau)
+            for k in range(1, 5):
+                pw = power(part, k)
+                assert isinstance(pw, DiagonalQuiver)
+                assert _listings(pw) == _listings(power(plain, k)), (len(part.vertices), k)
+
+
+@pytest.fixture
+def listing_builds(monkeypatch):
+    """(N, step, vertex count) of each call of the diagonal-quiver listing builder."""
+    module = importlib.import_module("quiverkit.polygon")
+    build, calls = module._diagonal_listings, []
+
+    def spy(N, step, verts):
+        calls.append((N, step, len(verts)))
+        return build(N, step, verts)
+
+    monkeypatch.setattr(module, "_diagonal_listings", spy)
+    return calls
+
+
+class TestLazyListings:
+    """Diagonal quivers build their arrows and tau on the first read, once."""
+
+    def test_lazy_quivers_list_as_rebuilt(self, listing_builds):
+        g = gamma(7, 2)
+        pw = power(g, 3)
+        parts = split_components(power(gamma(10, 1), 4))
+        assert listing_builds == []
+        for dq in [g, pw, *parts]:
+            assert _listings(dq) == _listings(_rebuilt(dq))
+            assert dq == _rebuilt(dq)
+        sizes = [len(p.vertices) for p in parts]
+        assert listing_builds == [(16, 2, 48), (16, 6, 48)] + [(12, 4, size) for size in sizes]
+
+    def test_power_components_build_each_part_once(self, listing_builds, tmp_path):
+        out = tmp_path / "parts.json"
+        argv = ["power", "--n", "96", "--m", "2", "--components", "--out", str(out)]
+        assert main(argv) == 0
+        sizes = [len(c["vertices"]) for c in json.loads(out.read_text())["components"]]
+        # Neither gamma(96, 1) (step 1) nor the whole power (all 4655 diagonals) is listed.
+        assert listing_builds == [(98, 2, size) for size in sizes]
+        assert len(sizes) == 3 and sum(sizes) == 98 * 95 // 2
 
 
 class TestModuleName:

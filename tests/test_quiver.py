@@ -37,6 +37,7 @@ from quiverkit import (
     vertex_label,
 )
 from quiverkit.cli import main
+from quiverkit.polygon import DiagonalQuiver
 from quiverkit.power import _gamma_power_components
 from quiverkit.export import angulations_json, components_json
 from quiverkit.iso import _adjacency, _refine
@@ -352,6 +353,28 @@ class TestSplitComponents:
             ref = _restricted(tq, part.vertices)
             # __eq__ ignores the order of tau, so compare the listings too.
             assert part == ref and _listings(part) == _listings(ref)
+
+    def test_diagonal_quivers_split_as_their_plain_copies(self):
+        # The closed-form key split against the union-find on a plain copy:
+        # every power(gamma(n, m), k) of a polygon with n <= 11, m <= 5, and
+        # powers 2 and 3 of its two largest parts (4913 cases, about 1 s).
+        def agree(dq):
+            plain = TranslationQuiver(dq.quiver, dq.tau)
+            parts = split_components(dq)
+            assert all(isinstance(p, DiagonalQuiver) for p in parts)
+            return [_listings(p) for p in parts] == [_listings(p) for p in split_components(plain)]
+
+        cases = 0
+        for n in range(2, 12):
+            for m in range(1, 6):
+                g = gamma(n, m)
+                for k in range(1, n * m + 2):
+                    pw = power(g, k)
+                    quivers = [pw] + [power(p, j) for p in split_components(pw)[:2] for j in (2, 3)]
+                    for i, dq in enumerate(quivers):
+                        assert agree(dq), (n, m, k, i)
+                    cases += len(quivers)
+        assert cases == 4913
 
 
 class TestLazyIndexes:
