@@ -54,7 +54,6 @@ from .quiver import (
     TranslationQuiver,
     ValidationResult,
     Violation,
-    connected_components,
     split_components,
     tau_orbits,
     validate_translation_quiver,
@@ -86,7 +85,6 @@ __all__ = [
     "check_names",
     "classify_components",
     "compose_tau",
-    "connected_components",
     "counting_check",
     "crossing",
     "cyclic_gap",

@@ -1,4 +1,4 @@
-"""Deterministic DOT and JSON rendering of (translation) quivers.
+"""Deterministic DOT and JSON rendering of translation quivers.
 
 Each JSON writer returns exactly ``json.dumps(<dict form>, indent=2) + "\\n"``,
 the dict form of a quiver being :func:`quiver_json_dict` after any extra keys.
@@ -7,7 +7,8 @@ labels rendered and escaped once per quiver.  Each writer renders the labels of
 the sorted vertices in one pass, then looks up arrow and tau ends, which are
 vertices (the :mod:`~quiverkit.quiver` constructors enforce it).  Extra values
 are dumped and indented one level, which is exact: ``json`` puts no raw newline
-in a string.
+in a string.  The writers take translation quivers only; a plain quiver ``q``
+writes as ``TranslationQuiver(q, {})``, with an empty ``"tau"``.
 """
 
 from __future__ import annotations
@@ -15,22 +16,21 @@ from __future__ import annotations
 import json
 from json.encoder import encode_basestring_ascii as _encode
 
-from .quiver import Quiver, TranslationQuiver, vertex_label
+from .quiver import TranslationQuiver, vertex_label
 
 SCHEMA = "quiverkit/1"
 
 
-def quiver_json_dict(tq: TranslationQuiver | Quiver) -> dict:
+def quiver_json_dict(tq: TranslationQuiver) -> dict:
     """``{"vertices": [...], "arrows": [[src, tgt], ...], "tau": {...}}``.
 
     Labels follow the package-wide vertex order that the quiver already
     holds, so equal quivers serialize to identical bytes.
     """
-    q, tau = (tq, {}) if isinstance(tq, Quiver) else (tq.quiver, tq.tau)
     return {
-        "vertices": [vertex_label(v) for v in q.sorted_vertices()],
-        "arrows": [[vertex_label(s), vertex_label(t)] for s, t in q.arrows],
-        "tau": {vertex_label(y): vertex_label(ty) for y, ty in tau.items()},
+        "vertices": [vertex_label(v) for v in tq.sorted_vertices()],
+        "arrows": [[vertex_label(s), vertex_label(t)] for s, t in tq.arrows],
+        "tau": {vertex_label(y): vertex_label(ty) for y, ty in tq.tau.items()},
     }
 
 
@@ -49,9 +49,9 @@ class _Rendered(dict):
         return self.setdefault(key, self.render(key))
 
 
-def _labels(q: Quiver, render) -> dict:
+def _labels(tq: TranslationQuiver, render) -> dict:
     """``render`` of each vertex, entered in sorted order."""
-    vertices = q.sorted_vertices()
+    vertices = tq.sorted_vertices()
     return dict(zip(vertices, map(render, vertices)))
 
 
@@ -72,20 +72,19 @@ def _document(extra: dict, members: dict[str, str]) -> str:
     return _join(head | members, 0) + "\n"
 
 
-def _quiver_members(tq: TranslationQuiver | Quiver, depth: int) -> dict[str, str]:
+def _quiver_members(tq: TranslationQuiver, depth: int) -> dict[str, str]:
     """The rendered members of :func:`quiver_json_dict` in an object at ``depth``."""
-    q, tau = (tq, {}) if isinstance(tq, Quiver) else (tq.quiver, tq.tau)
-    lab = _labels(q, lambda v: _encode(vertex_label(v)))
+    lab = _labels(tq, lambda v: _encode(vertex_label(v)))
     arrow = _join(["%s", "%s"], depth + 2)
     return {
         '"vertices"': _join(list(lab.values()), depth + 1),
-        '"arrows"': _join([arrow % (lab[s], lab[t]) for s, t in q.arrows], depth + 1),
+        '"arrows"': _join([arrow % (lab[s], lab[t]) for s, t in tq.arrows], depth + 1),
         # A dict first, so that equal labels collapse as in the dict form.
-        '"tau"': _join({lab[y]: lab[ty] for y, ty in tau.items()}, depth + 1),
+        '"tau"': _join({lab[y]: lab[ty] for y, ty in tq.tau.items()}, depth + 1),
     }
 
 
-def to_json(tq: TranslationQuiver | Quiver, /, **extra) -> str:
+def to_json(tq: TranslationQuiver, /, **extra) -> str:
     """JSON text with optional extra top-level keys placed first."""
     return _document(extra, _quiver_members(tq, 0))
 
@@ -113,14 +112,13 @@ def _dot_id(v) -> str:
     return '"' + vertex_label(v).replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def to_dot(tq: TranslationQuiver | Quiver, name: str = "quiver") -> str:
+def to_dot(tq: TranslationQuiver, name: str = "quiver") -> str:
     """One digraph; solid arrows, dashed ``tau`` edges from y to tau(y)."""
-    q, tau = (tq, {}) if isinstance(tq, Quiver) else (tq.quiver, tq.tau)
-    lab = _labels(q, _dot_id)
+    lab = _labels(tq, _dot_id)
     lines = [f"digraph {name} {{"]
     lines += [f"  {v};" for v in lab.values()]
-    lines += [f"  {lab[s]} -> {lab[t]};" for s, t in q.arrows]
-    lines += [f'  {lab[y]} -> {lab[ty]} [style=dashed, label="tau"];' for y, ty in tau.items()]
+    lines += [f"  {lab[s]} -> {lab[t]};" for s, t in tq.arrows]
+    lines += [f'  {lab[y]} -> {lab[ty]} [style=dashed, label="tau"];' for y, ty in tq.tau.items()]
     return "\n".join(lines) + "\n}\n"
 
 

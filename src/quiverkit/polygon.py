@@ -120,9 +120,9 @@ class DiagonalQuiver(TranslationQuiver):
 
     Built only by :func:`gamma`, by :func:`~quiverkit.power.power` of a
     diagonal quiver and by :func:`~quiverkit.quiver.split_components` of
-    one.  It stores ``N``, ``step`` and its sorted vertices; its arrows
-    and translation are built by :func:`_diagonal_listings` the first time
-    anything reads them.
+    one; calling the class raises ``TypeError``.  It stores ``N``, ``step``
+    and its sorted vertices; its arrows and translation are built by
+    :func:`_diagonal_listings` the first time anything reads them.
 
     Name a diagonal by a start x and a clockwise gap g, 2 <= g <= N - 2;
     ``(i, j)`` has the two names ``(i, j-i)`` and ``(j, N-j+i)``.  With
@@ -144,6 +144,9 @@ class DiagonalQuiver(TranslationQuiver):
 
     __slots__ = ("N", "step", "_verts")
 
+    def __init__(self, *args, **kwargs):
+        raise TypeError("a DiagonalQuiver is built by gamma(), power() or split_components()")
+
     def __getattr__(self, name: str):
         # Runs only while a slot is unset: the first read of _quiver or _tau
         # builds both.  Threads racing on it build equal listings.
@@ -156,7 +159,7 @@ class DiagonalQuiver(TranslationQuiver):
         return list(self._verts)
 
     def _split(self) -> list[DiagonalQuiver]:
-        """The components, in :func:`~quiverkit.quiver.connected_components` order.
+        """The components, in :func:`~quiverkit.quiver.split_components` order.
 
         Each vertex goes to the orbit of its key; orbits come in order of
         their least vertex, and the sort by size is stable.

@@ -5,7 +5,10 @@ from a subset of the vertices to the vertices such that for all vertices
 ``x, y`` with ``tau(y)`` defined, the number of arrows ``x -> y`` equals
 the number of arrows ``tau(y) -> x`` (the mesh arrow-count axiom).  When
 ``tau`` is defined everywhere on a finite vertex set it is bijective and
-the translation quiver is called *stable*.
+the translation quiver is called *stable*.  Every function of the package
+takes a :class:`TranslationQuiver`; a :class:`Quiver` is the arrow
+container inside one, and ``TranslationQuiver(q, {})`` wraps a plain
+quiver ``q``.
 
 Vertices are arbitrary hashable objects.  Every arrow end and every
 ``tau`` key and image is a vertex: the public constructors raise
@@ -295,17 +298,31 @@ def validate_translation_quiver(tq: TranslationQuiver) -> ValidationResult:
     return ValidationResult(ok=not violations, stable=tq.is_stable, violations=tuple(violations))
 
 
-def _component_parts(
-    q: Quiver | TranslationQuiver,
-) -> tuple[dict[Vertex, int], list[list[Vertex]]]:
-    """The vertex -> part map, and each part's sorted vertices, in component order.
+def split_components(tq: TranslationQuiver) -> list[TranslationQuiver]:
+    """One translation quiver per weakly connected component.
 
-    A tau pair never leaves a component, so each unlabelled vertex, taken
-    in sorted order, starts a chain that follows tau while it meets new
-    vertices; a chain that runs into an earlier one is united with it.
+    Components follow arrows and translation links, taken as undirected
+    edges, so arrow-less vertex classes tied together by the translation
+    (the diagonals of a square) stay in one piece, and tau never leaves a
+    component.  Parts come by size descending, then least vertex.  A
+    plain quiver ``q`` splits by its arrows alone as
+    ``TranslationQuiver(q, {})``.
+
+    The parts are found without a graph search.  Each unlabelled vertex,
+    taken in sorted order, starts a chain that follows tau while it meets
+    new vertices; a chain that runs into an earlier one is united with it.
     The chains are then united over the arrows in a small union-find.
+    One scan of the arrows and tau pairs gives each part its listings in
+    the parent's :func:`vertex_key` order, which go to
+    ``TranslationQuiver._listed`` unsorted.  A diagonal quiver skips all
+    of that: its ``_split`` groups the sorted vertices by a closed-form
+    key (see :class:`~quiverkit.polygon.DiagonalQuiver`) into parts in the
+    same order, each a diagonal quiver that has not built its listings.
     """
-    quiver, tau = (q, {}) if isinstance(q, Quiver) else (q.quiver, q._tau)
+    split = getattr(tq, "_split", None)
+    if split is not None:
+        return split()
+    quiver, tau = tq.quiver, tq._tau
     chain: dict[Vertex, int] = {}
     parent: list[int] = []
 
@@ -333,50 +350,16 @@ def _component_parts(
     # Roots come in order of their least vertex; the sort by size is stable.
     roots = sorted(members, key=lambda r: len(members[r]), reverse=True)
     index = {r: i for i, r in enumerate(roots)}
-    part_of_chain = [index[r] for r in root]
-    return {v: part_of_chain[c] for v, c in chain.items()}, [members[r] for r in roots]
-
-
-def connected_components(q: Quiver | TranslationQuiver) -> list[frozenset]:
-    """Weakly connected components, links treated as undirected edges.
-
-    A :class:`Quiver` is linked by its arrows; a :class:`TranslationQuiver`
-    by its arrows and its translation, which ties together arrow-less
-    vertices such as the diagonals of a square.  The list is sorted by
-    (size descending, smallest vertex).  The parts are found without a
-    graph search: tau chains first, walked in sorted-vertex order, then a
-    union-find of the chains over the arrows; the order is the one a
-    search from each part's smallest vertex, stably sorted by size, gives.
-    :func:`split_components` builds the translation quiver of each.
-    """
-    return [frozenset(p) for p in _component_parts(q)[1]]
-
-
-def split_components(tq: TranslationQuiver) -> list[TranslationQuiver]:
-    """One translation quiver per component, in :func:`connected_components` order.
-
-    Components follow arrows and translation links, so arrow-less vertex
-    classes tied together by the translation (the diagonals of a square)
-    stay in one piece, and tau never leaves a component.  The
-    vertex -> part map comes with each part's sorted vertices, and one
-    scan of the arrows and tau pairs gives each part its listings in the
-    parent's :func:`vertex_key` order, which go to
-    ``TranslationQuiver._listed`` unsorted.  A diagonal quiver skips all
-    of that: its ``_split`` groups the sorted vertices by a closed-form
-    key (see :class:`~quiverkit.polygon.DiagonalQuiver`) into parts in the
-    same order, each a diagonal quiver that has not built its listings.
-    """
-    split = getattr(tq, "_split", None)
-    if split is not None:
-        return split()
-    part, verts = _component_parts(tq)
-    arrows: list[list[Arrow]] = [[] for _ in verts]
-    taus: list[dict] = [{} for _ in verts]
-    for s, t in tq.arrows:
-        arrows[part[s]].append((s, t))
-    for y, ty in tq.tau.items():
-        taus[part[y]][y] = ty
-    return [TranslationQuiver._listed(v, a, t) for v, a, t in zip(verts, arrows, taus)]
+    part = [index[r] for r in root]
+    arrows: list[list[Arrow]] = [[] for _ in roots]
+    taus: list[dict] = [{} for _ in roots]
+    for s, t in quiver._arrows:
+        arrows[part[chain[s]]].append((s, t))
+    for y, ty in tau.items():
+        taus[part[chain[y]]][y] = ty
+    return [
+        TranslationQuiver._listed(members[r], a, t) for r, a, t in zip(roots, arrows, taus)
+    ]
 
 
 def tau_orbits(tq: TranslationQuiver) -> list[tuple[Vertex, ...]]:

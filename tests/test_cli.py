@@ -5,6 +5,7 @@ import io
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -548,3 +549,51 @@ class TestArgvFuzz:
             # Entries in -2..2 and a cap of 5 stay far from every size bound.
             closable = quiverkit.ExchangeMatrix(json.loads(argv[2])).is_skew_symmetrizable()
             assert code == (0 if closable else 2), argv
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _readme_section(title):
+    """The text of the README section ``## title``, up to the next section."""
+    return README.read_text(encoding="utf-8").split(f"\n## {title}\n", 1)[1].split("\n## ", 1)[0]
+
+
+def _code_blocks(section):
+    """The four-space indented blocks of ``section``, dedented."""
+    blocks = re.findall(r"(?:^    .*\n)+", section, re.MULTILINE)
+    return [re.sub(r"^    ", "", b, flags=re.MULTILINE) for b in blocks]
+
+
+class TestReadme:
+    """The README's command-line examples run as written."""
+
+    def test_every_example_exits_0(self, capsys, tmp_path):
+        block = _code_blocks(_readme_section("Command line"))[0]
+        examples = [shlex.split(line, comments=True) for line in block.splitlines()]
+        assert [argv[0] for argv in examples] == ["quiverkit"] * 7
+        for i, argv in enumerate(examples):
+            out = tmp_path / f"example_{i}.txt"
+            code, stdout, stderr = run(capsys, *argv[1:], "--out", str(out))
+            assert (code, stdout, stderr) == (0, "", ""), argv
+            assert out.read_text(encoding="utf-8"), argv
+
+    def test_classify_prints_the_readme_lines(self, capsys, tmp_path):
+        section = _readme_section("Command line")
+        command = re.search(r"`(classify [^`]*)` prints:", section).group(1)
+        printed = _code_blocks(section)[1]
+        assert command == "classify --n 4 --m 3" and len(printed.splitlines()) == 3
+        out = tmp_path / "classify.txt"
+        assert run(capsys, *shlex.split(command), "--out", str(out))[0] == 0
+        assert out.read_text(encoding="utf-8") == printed
+
+    def test_size_cap_example(self, capsys, tmp_path):
+        found = re.search(
+            r"`quiverkit ([^`]*)` exits (\d) with\s+`([^`]*)`", _readme_section("Size caps")
+        )
+        command, status, message = found.groups()
+        assert (command, status) == ("angulations --n 15", "3")
+        prefix = message.removesuffix("...")
+        assert prefix.startswith("size cap: ") and prefix != message
+        code, stdout, stderr = run(capsys, *shlex.split(command), "--out", str(tmp_path / "x"))
+        assert (code, stdout) == (3, "") and stderr.startswith(prefix)

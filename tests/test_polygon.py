@@ -24,6 +24,7 @@ from quiverkit import (
     row_of,
     validate_translation_quiver,
 )
+from quiverkit.polygon import DiagonalQuiver
 
 # Catalan numbers from the convolution recurrence, independent of any
 # enumeration below.
@@ -237,6 +238,12 @@ class TestGamma:
             gamma(1, 1)
         with pytest.raises(ValueError):
             gamma(3, 0)
+
+    def test_diagonal_quiver_has_no_public_constructor(self):
+        # The public constructor would leave N, step and the vertices unset.
+        tq = gamma(3, 2)
+        with pytest.raises(TypeError, match=r"gamma\(\)"):
+            DiagonalQuiver(tq.quiver, dict(tq.tau))
 
     def test_multiplicity_at_most_one(self):
         for n, m in ((6, 1), (3, 2), (2, 5)):
