@@ -121,8 +121,21 @@ class DiagonalQuiver(TranslationQuiver):
     Built only by :func:`gamma`, by :func:`~quiverkit.power.power` of a
     diagonal quiver and by :func:`~quiverkit.quiver.split_components` of
     one; calling the class raises ``TypeError``.  It stores ``N``, ``step``
-    and its sorted vertices; its arrows and translation are built by
-    :func:`_diagonal_listings` the first time anything reads them.
+    and its sorted vertices.  Its arrows and translation are built by
+    :func:`_diagonal_listings` the first time anything reads them: the
+    arrows, ``tau``/``tau_of``, ``quiver``, ``out``/``into`` and the
+    like.  ``vertices``, ``sorted_vertices()``,
+    :func:`~quiverkit.power.power` and ``split_components`` build nothing;
+    ``vertices`` is a frozenset of the stored vertices, made on its first
+    read and then shared with the listed quiver.
+
+    ``==`` builds nothing between two diagonal quivers either, except
+    when they have the same vertices but not the same ``N`` and ``step``.
+    Two on different vertex sets differ, and two with the same ``N``,
+    ``step`` and vertices are equal, as their listings are one function
+    of those three.  Any other comparison, and any with a plain
+    :class:`~quiverkit.quiver.TranslationQuiver`, compares the listings;
+    the hash is the listings' too.
 
     Name a diagonal by a start x and a clockwise gap g, 2 <= g <= N - 2;
     ``(i, j)`` has the two names ``(i, j-i)`` and ``(j, N-j+i)``.  With
@@ -142,21 +155,40 @@ class DiagonalQuiver(TranslationQuiver):
     ``(i, j)`` under the renaming (c, a) -> ((N-c) mod s, (a+c) mod d).
     """
 
-    __slots__ = ("N", "step", "_verts")
+    __slots__ = ("N", "step", "_verts", "_vertex_set")
 
     def __init__(self, *args, **kwargs):
         raise TypeError("a DiagonalQuiver is built by gamma(), power() or split_components()")
 
     def __getattr__(self, name: str):
-        # Runs only while a slot is unset: the first read of _quiver or _tau
-        # builds both.  Threads racing on it build equal listings.
-        if name not in ("_quiver", "_tau"):
+        # Runs only while a slot is unset: the first read of _vertex_set makes
+        # the set, the first read of _quiver or _tau builds both listings.
+        # Threads racing on it build equal sets and equal listings.
+        if name == "_vertex_set":
+            self._vertex_set = frozenset(self._verts)
+        elif name in ("_quiver", "_tau"):
+            arrows, self._tau = _diagonal_listings(self.N, self.step, self._verts)
+            self._quiver = Quiver._listed(self._verts, arrows, self.vertices)
+        else:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        self._quiver, self._tau = _diagonal_listings(self.N, self.step, self._verts)
         return getattr(self, name)
+
+    @property
+    def vertices(self) -> frozenset:
+        return self._vertex_set
 
     def sorted_vertices(self) -> list[Diagonal]:
         return list(self._verts)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, DiagonalQuiver):
+            if self.vertices != other.vertices:
+                return False
+            if self.N == other.N and self.step == other.step:
+                return True
+        return super().__eq__(other)
+
+    __hash__ = TranslationQuiver.__hash__
 
     def _split(self) -> list[DiagonalQuiver]:
         """The components, in :func:`~quiverkit.quiver.split_components` order.
@@ -180,7 +212,7 @@ def _diagonal_quiver(N: int, step: int, verts: list[Diagonal]) -> DiagonalQuiver
     return dq
 
 
-def _diagonal_listings(N: int, step: int, verts: tuple[Diagonal, ...]) -> tuple[Quiver, dict]:
+def _diagonal_listings(N: int, step: int, verts: tuple[Diagonal, ...]) -> tuple[list, dict]:
     """Arrows ``(i,j) -> (i,j+step)`` and ``(i,j) -> (i+step,j)`` on ``verts``, tau back by step.
 
     The first arrow exists iff ``j - i + step <= N - 2`` (folded to
@@ -200,7 +232,7 @@ def _diagonal_listings(N: int, step: int, verts: tuple[Diagonal, ...]) -> tuple[
             arrows.append((d, (i + step, j)))
         a, b = (i - step - 1) % N + 1, (j - step - 1) % N + 1
         tau[d] = (a, b) if a < b else (b, a)
-    return Quiver._listed(verts, arrows), tau
+    return arrows, tau
 
 
 def gamma(n: int, m: int = 1) -> DiagonalQuiver:

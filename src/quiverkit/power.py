@@ -31,6 +31,11 @@ arrows and the translation of ``gamma(n, m)`` on the m-diagonals when
 label for label.  :func:`_gamma_power_components` is the one place that
 builds and splits that power; ``classify_components`` and verify's
 power-theorem sweep check the equality, not by an isomorphism search.
+The two sides are diagonal quivers with the same ``N`` and step, so
+``==`` answers from their vertex sets and lists nothing.  That is no
+weaker than comparing the listings: both sides are listed by the same
+:func:`~quiverkit.polygon._diagonal_listings` from ``N``, the step and
+the vertices.
 Both forms walk the base's sorted vertices, so a power lists in
 :func:`~quiverkit.quiver.vertex_key` order; the count sorts only targets.
 """

@@ -28,10 +28,14 @@ constructors sort by :func:`vertex_key`; the builders (``gamma``,
 Downstream code reads these listings as they are.  Indexes
 behind ``arrow_count`` and ``out``/``into`` are built on first use, and
 so are the listings of a diagonal quiver
-(:class:`~quiverkit.polygon.DiagonalQuiver`), which holds only its
-sorted vertices until something reads its arrows or tau.  Threads racing
-on a first call build equal indexes and equal listings, so sharing stays
-safe.
+(:class:`~quiverkit.polygon.DiagonalQuiver`), which holds only ``N``,
+its step and its sorted vertices until something reads its arrows,
+``tau``, ``quiver`` or ``out``/``into``.  Its ``vertices`` and
+``sorted_vertices()``, ``power`` and :func:`split_components` of it
+list nothing, nor does ``==`` with another diagonal quiver unless the
+two have the same vertices but not the same ``N`` and step.  Threads
+racing on a first call build equal indexes and equal listings, so
+sharing stays safe.
 """
 
 from __future__ import annotations
@@ -94,10 +98,13 @@ class Quiver:
         self._arrows = tuple(sorted(arrows, key=lambda a: (rank[a[0]], rank[a[1]])))
 
     @classmethod
-    def _listed(cls, vertices: list[Vertex], arrows: list[Arrow]) -> Quiver:
-        """A quiver on listings in vertex_key order, unchecked."""
+    def _listed(
+        cls, vertices: list[Vertex], arrows: list[Arrow], vertex_set: frozenset | None = None
+    ) -> Quiver:
+        """A quiver on listings in vertex_key order, unchecked; ``vertex_set`` is theirs if made."""
         q = cls.__new__(cls)
-        q._vertices, q._sorted, q._index = frozenset(vertices), tuple(vertices), None
+        q._vertices = frozenset(vertices) if vertex_set is None else vertex_set
+        q._sorted, q._index = tuple(vertices), None
         q._arrows = tuple(arrows)
         return q
 

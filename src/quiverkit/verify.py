@@ -117,6 +117,9 @@ def check_power_theorem_sweep() -> tuple[bool, str]:
         base = gamma(n * m, 1)
         if power(base, m) != _count_sectional(base, m):
             return False, f"power(gamma({n * m},1), {m}) differs from its sectional-path count"
+        # Two diagonal quivers: == answers from N, step and vertices and
+        # lists nothing.  Their listings are one function of those three, so
+        # the answer is the one their listings would give.
         if _gamma_power_components(n, m, None)[0] != gamma(n, m):
             return False, (
                 f"failed at (n,m)=({n},{m}): component through (1, {m + 2}) of the "

@@ -18,6 +18,7 @@ from quiverkit import (
     Quiver,
     SizeCapError,
     TranslationQuiver,
+    classify_components,
     compose_tau,
     gamma,
     is_sectional,
@@ -283,6 +284,76 @@ class TestLazyListings:
         # Neither gamma(96, 1) (step 1) nor the whole power (all 4655 diagonals) is listed.
         assert listing_builds == [(98, 2, size) for size in sizes]
         assert len(sizes) == 3 and sum(sizes) == 98 * 95 // 2
+
+    def test_vertices_and_equality_build_nothing(self, listing_builds):
+        g = gamma(6, 2)
+        principal, rest = _gamma_power_components(6, 2, None)
+        assert (1, 4) in g.vertices and len(g.vertices) == 14 * 5 // 2
+        assert g.vertices is g.vertices and set(g.sorted_vertices()) == g.vertices
+        assert principal == g and g == principal
+        assert principal != rest[0] and rest[0] != rest[1]
+        assert listing_builds == []
+        # The listed quiver takes the vertex set already made.
+        assert g.quiver.vertices is g.vertices
+        assert listing_builds == [(14, 2, 35)]
+
+    @pytest.mark.parametrize("n", [40, 46])
+    def test_classify_lists_no_part_when_all_are_principal(self, listing_builds, n):
+        report = classify_components(n, 1)
+        assert report.principal_is_gamma and report.others == ()
+        assert report.principal_size == (n + 2) * (n - 1) // 2
+        assert listing_builds == []
+
+    def test_classify_command_lists_nothing_for_46_1(self, listing_builds, tmp_path):
+        out = tmp_path / "report.json"
+        assert main(["classify", "--n", "46", "--m", "1", "--report", "json", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["principal"] == {"size": 1080, "iso_gamma": True}
+        assert listing_builds == []
+
+    def test_classify_lists_only_the_searched_part(self, listing_builds):
+        report = classify_components(6, 3)
+        assert report.principal_is_gamma and [c.match is not None for c in report.others] == [True]
+        assert listing_builds == [(20, 3, report.others[0].size)]
+
+
+class TestDiagonalEquality:
+    """``==`` between diagonal quivers answers from (N, step, vertices) as the listings would."""
+
+    def test_equality_agrees_with_the_listings(self):
+        quivers = []
+        for n in range(2, 9):
+            for m in range(1, 5):
+                g = gamma(n, m)
+                quivers.append(g)
+                for k in range(1, 4):
+                    pw = power(g, k)
+                    quivers += [pw, *split_components(pw)]
+        # Compared first, while the quivers are unlisted (but for pairs on the same
+        # vertices with another N or step), then against the oracle.
+        equal = [[a == b for b in quivers] for a in quivers]
+        unequal = [[a != b for b in quivers] for a in quivers]
+        plain = [_rebuilt(a) for a in quivers]
+        hashes = [hash(a) for a in quivers]
+        for a, pa, ha, row, urow in zip(quivers, plain, hashes, equal, unequal):
+            assert a == pa and pa == a
+            for pb, hb, eq, ne in zip(plain, hashes, row, urow):
+                assert eq is (pa == pb)
+                assert ne is not eq
+                assert hb == ha or not eq
+
+    def test_same_vertices_other_step_differ(self):
+        for n, m in [(2, 2), (3, 2), (2, 3), (4, 2)]:
+            base = gamma(n * m, 1)
+            pw = power(base, m)
+            assert base.vertices == pw.vertices
+            assert base != pw and pw != base
+            assert _rebuilt(base) != _rebuilt(pw)
+
+    def test_other_objects_are_not_compared(self):
+        g = gamma(4, 1)
+        assert g.__eq__(g.vertices) is NotImplemented
+        assert g != g.vertices and g != g.quiver
+        assert hash(g) == hash(_rebuilt(g))
 
 
 class TestModuleName:
