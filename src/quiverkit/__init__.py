@@ -32,7 +32,6 @@ from .orbit import (
     ComponentMatch,
     ComponentReport,
     OrbitQuiver,
-    ZARule,
     classify_components,
     orbit_quiver,
 )
@@ -79,7 +78,6 @@ __all__ = [
     "TranslationQuiver",
     "ValidationResult",
     "Violation",
-    "ZARule",
     "a_path_matrix",
     "check_iso",
     "check_names",

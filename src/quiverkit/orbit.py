@@ -54,59 +54,9 @@ from .export import SCHEMA
 from .iso import iso_translation_quivers
 from .polygon import gamma, normalize_pair
 from .power import _gamma_power_components
-from .quiver import Quiver, TranslationQuiver
+from .quiver import TranslationQuiver
 
 ZAVertex = tuple[int, int]
-
-
-@dataclass(frozen=True)
-class ZARule:
-    """Arrow/translation/shift rules of the strip with k rows."""
-
-    k: int
-
-    def __post_init__(self):
-        if self.k < 1:
-            raise ValueError(f"need k >= 1, got k={self.k}")
-
-    def arrows_from(self, v: ZAVertex) -> tuple[ZAVertex, ...]:
-        p, i = v
-        out = []
-        if i < self.k:
-            out.append((p, i + 1))
-        if i > 1:
-            out.append((p + 1, i - 1))
-        return tuple(out)
-
-    def arrows_into(self, v: ZAVertex) -> tuple[ZAVertex, ...]:
-        p, i = v
-        into = []
-        if i > 1:
-            into.append((p, i - 1))
-        if i < self.k:
-            into.append((p - 1, i + 1))
-        return tuple(into)
-
-    def tau(self, v: ZAVertex) -> ZAVertex:
-        return (v[0] - 1, v[1])
-
-    def shift(self, v: ZAVertex) -> ZAVertex:
-        p, i = v
-        return (p + i, self.k + 1 - i)
-
-    def window(self, lo: int, hi: int) -> TranslationQuiver:
-        """Finite restriction to slices ``lo <= p <= hi``.
-
-        The translation is kept where its image stays inside, which
-        preserves the mesh axiom on the truncation.
-        """
-        verts = [(p, i) for p in range(lo, hi + 1) for i in range(1, self.k + 1)]
-        vset = set(verts)
-        arrows = [
-            (v, w) for v in verts for w in self.arrows_from(v) if w in vset
-        ]
-        tau = {v: self.tau(v) for v in verts if self.tau(v) in vset}
-        return TranslationQuiver(Quiver(verts, arrows), tau)
 
 
 @dataclass(frozen=True)
@@ -116,24 +66,26 @@ class OrbitQuiver:
     k: int
     quotient: TranslationQuiver
 
+    # Not called in the package; perfbench's orbit_quiver span reads it.
     @property
     def vertex_count(self) -> int:
         return len(self.quotient.vertices)
 
 
 def orbit_quiver(k: int, s: int, r: int) -> OrbitQuiver:
-    """Quotient of the k-row strip by tau^-s ∘ [r] (s, r >= 0, not both zero).
+    """Quotient of the k-row strip by tau^-s ∘ [r] (k >= 1; s, r >= 0, not both zero).
 
     Vertices are labeled by canonical orbit representatives ``(p, i)``
     with ``p >= 0`` minimal along the orbit, computed in closed form from
-    the normal form ``tau^-S ∘ [rho]`` (see the module docstring); arrows
-    and the translation are induced from the strip.  The representatives
-    are listed in :func:`~quiverkit.quiver.vertex_key` order (slice ``p``,
-    then row ``i``), which on these integer pairs is plain tuple order, so
-    ``sorted`` orders each one's (at most two) arrow targets, and the
-    listings go to ``TranslationQuiver._listed`` as they are.
+    the normal form ``tau^-S ∘ [rho]`` (see the module docstring).  Each one
+    lists the strip's arrows to ``(p, i+1)`` if ``i < k`` and to ``(p+1, i-1)``
+    if ``i > 1``, and its translate ``(p-1, i)``, each end folded onto its
+    representative.  They come in :func:`~quiverkit.quiver.vertex_key` order
+    (slice ``p``, then row ``i``: tuple order), so ``sorted`` orders each one's
+    (at most two) arrow targets; the listings go to ``TranslationQuiver._listed``.
     """
-    rule = ZARule(k)
+    if k < 1:
+        raise ValueError(f"need k >= 1, got k={k}")
     if s < 0 or r < 0:
         raise ValueError("s and r must be non-negative")
     if s == 0 and r == 0:
@@ -141,8 +93,8 @@ def orbit_quiver(k: int, s: int, r: int) -> OrbitQuiver:
     S, rho = s + (k + 1) * (r // 2), r % 2
     period = S + rho * (S + k + 1)  # g^(1 + rho) = tau^-period
 
-    def normalize(v: ZAVertex) -> ZAVertex:
-        p, i = v[0] % period, v[1]
+    def normalize(p: int, i: int) -> ZAVertex:
+        p %= period
         q = p - S - rho * (k + 1 - i)  # >= 0 only for rho = 1
         return (q, k + 1 - i) if q >= 0 else (p, i)
 
@@ -152,9 +104,11 @@ def orbit_quiver(k: int, s: int, r: int) -> OrbitQuiver:
     arrows = []
     tau = {}
     for c in reps:
-        ends = [normalize(t) for t in rule.arrows_from(c)]
-        arrows += [(c, t) for t in sorted(ends)]
-        tau[c] = normalize(rule.tau(c))
+        p, i = c
+        up = [normalize(p, i + 1)] if i < k else []
+        down = [normalize(p + 1, i - 1)] if i > 1 else []
+        arrows += [(c, t) for t in sorted(up + down)]
+        tau[c] = normalize(p - 1, i)
 
     return OrbitQuiver(k=k, quotient=TranslationQuiver._listed(reps, arrows, tau))
 

@@ -124,7 +124,7 @@ class DiagonalQuiver(TranslationQuiver):
     and its sorted vertices.  Its arrows and translation are built by
     :func:`_diagonal_listings` the first time anything reads them: the
     arrows, ``tau``/``tau_of``, ``quiver``, ``out``/``into`` and the
-    like.  ``vertices``, ``sorted_vertices()``,
+    like.  ``vertices``, ``sorted_vertices()``, ``repr``,
     :func:`~quiverkit.power.power` and ``split_components`` build nothing;
     ``vertices`` is a frozenset of the stored vertices, made on its first
     read and then shared with the listed quiver.
@@ -189,6 +189,9 @@ class DiagonalQuiver(TranslationQuiver):
         return super().__eq__(other)
 
     __hash__ = TranslationQuiver.__hash__
+
+    def __repr__(self) -> str:
+        return f"DiagonalQuiver(N={self.N}, step={self.step}, {len(self._verts)} vertices)"
 
     def _split(self) -> list[DiagonalQuiver]:
         """The components, in :func:`~quiverkit.quiver.split_components` order.

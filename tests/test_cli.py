@@ -438,6 +438,10 @@ class TestOrbit:
         code, _, _ = run(capsys, "orbit", "--k", "3", "--s", "0", "--r", "0")
         assert code == 2
 
+    def test_empty_strip_rejected(self, capsys):
+        code, out, err = run(capsys, "orbit", "--k", "0", "--s", "1", "--r", "1")
+        assert (code, out, err) == (2, "", "error: need k >= 1, got k=0\n")
+
 
 class TestVerify:
     def test_only_counting(self, capsys):

@@ -9,7 +9,6 @@ from quiverkit import (
     Quiver,
     SizeCapError,
     TranslationQuiver,
-    ZARule,
     check_iso,
     classify_components,
     gamma,
@@ -25,17 +24,32 @@ from quiverkit.orbit import _component_law, _diagonal_labels, _match_component
 from quiverkit.verify import _pinning_pairs, check_orbit_model_pinning
 
 
+def strip_arrows(k, v):
+    """The arrows of the k-row strip out of ``v = (p, i)``: to (p, i+1) and (p+1, i-1)."""
+    p, i = v
+    return [w for w in ((p, i + 1), (p + 1, i - 1)) if 1 <= w[1] <= k]
+
+
+def strip_tau(v):
+    """The strip's translation tau(p, i) = (p-1, i)."""
+    return (v[0] - 1, v[1])
+
+
+def strip_shift(k, v):
+    """The shift [1](p, i) = (p + i, k + 1 - i) of the k-row strip."""
+    p, i = v
+    return (p + i, k + 1 - i)
+
+
 def window_orbit_count(k, s, r):
     """Brute-force orbit count: union-find over a finite window.
 
     Every orbit crosses the core strip and forms a single chain inside
     the window, so counting classes that meet the core is exact.
     """
-    rule = ZARule(k)
-
     def act(v):
         for _ in range(r):
-            v = rule.shift(v)
+            v = strip_shift(k, v)
         return (v[0] + s, v[1])
 
     step = max(act((0, i))[0] for i in range(1, k + 1))
@@ -73,11 +87,9 @@ def walked_orbit_quiver(k, s, r):
     g^-1(v).p < 0, and every strip vertex is folded onto one by walking
     g, the construction ``orbit_quiver`` replaced by its closed form.
     """
-    rule = ZARule(k)
-
     def act(v):
         for _ in range(r):
-            v = rule.shift(v)
+            v = strip_shift(k, v)
         return (v[0] + s, v[1])
 
     def act_inv(v):
@@ -103,9 +115,9 @@ def walked_orbit_quiver(k, s, r):
     arrows = []
     tau = {}
     for c in sorted(reps, key=vertex_key):
-        for t in rule.arrows_from(c):
+        for t in strip_arrows(k, c):
             arrows.append((c, normalize(t)))
-        tau[c] = normalize(rule.tau(c))
+        tau[c] = normalize(strip_tau(c))
     return TranslationQuiver(Quiver(set(reps), arrows), tau)
 
 
@@ -157,76 +169,37 @@ def normal_form(k, s, r):
     return (k, s + (k + 1) * (r // 2), r % 2)
 
 
-class TestStripRule:
-    def test_arrows_of_a3(self):
-        rule = ZARule(3)
-        assert rule.arrows_from((0, 1)) == ((0, 2),)
-        assert rule.arrows_from((0, 2)) == ((0, 3), (1, 1))
-        assert rule.arrows_into((1, 1)) == ((0, 2),)
-
-    def test_arrows_into_inverts_arrows_from(self):
-        # Every row of ZA_4, so both branches of each rule run.
-        rule = ZARule(4)
-        window = rule.window(-3, 3).sorted_vertices()
-        for v in window:
-            into = rule.arrows_into(v)
-            assert all(v in rule.arrows_from(u) for u in into), v
-            assert all(v in rule.arrows_into(w) for w in rule.arrows_from(v)), v
-            # Every source of an arrow into v is a vertex of the slices p-1 and p.
-            sources = [(p, i) for p in (v[0] - 1, v[0]) for i in range(1, 5)]
-            assert sorted(into) == sorted(u for u in sources if v in rule.arrows_from(u)), v
-
-    def test_translation(self):
-        rule = ZARule(3)
-        assert rule.tau((5, 2)) == (4, 2)
-
-    def test_window_satisfies_mesh_axiom(self):
-        rule = ZARule(3)
-        win = rule.window(-5, 5)
-        res = validate_translation_quiver(win)
-        assert res.ok
-        assert not res.stable  # the leftmost slice has no translate
-
-    def test_window_of_one_row_has_no_arrows(self):
-        assert ZARule(1).window(0, 4).arrows == ()
-
-
 class TestShift:
+    """The strip rule of the tests' oracle, checked against the strip's own facts."""
+
     def test_moves_to_next_triangle(self):
-        rule = ZARule(3)
-        assert rule.shift((0, 1)) == (1, 3)
-        assert rule.shift(rule.shift((0, 1))) == (4, 1)
+        assert strip_shift(3, (0, 1)) == (1, 3)
+        assert strip_shift(3, strip_shift(3, (0, 1))) == (4, 1)
 
     def test_single_row_shift_is_inverse_translation(self):
-        rule = ZARule(1)
         for p in range(-3, 4):
-            assert rule.shift((p, 1)) == (p + 1, 1)
+            assert strip_shift(1, (p, 1)) == (p + 1, 1)
 
     def test_double_shift_is_inverse_translation_power(self):
         for k in range(1, 9):
-            rule = ZARule(k)
             width = 3 * (k + 1)
             for p in range(-width, width):
                 for i in range(1, k + 1):
-                    v = (p, i)
-                    w = rule.shift(rule.shift(v))
-                    assert w == (p + k + 1, i)
+                    assert strip_shift(k, strip_shift(k, (p, i))) == (p + k + 1, i)
 
     def test_shift_commutes_with_translation(self):
-        rule = ZARule(4)
         for p in range(-6, 7):
             for i in range(1, 5):
                 v = (p, i)
-                assert rule.shift(rule.tau(v)) == rule.tau(rule.shift(v))
+                assert strip_shift(4, strip_tau(v)) == strip_tau(strip_shift(4, v))
 
     def test_shift_preserves_arrows(self):
         for k in (2, 3, 5):
-            rule = ZARule(k)
             for p in range(-5, 6):
                 for i in range(1, k + 1):
                     v = (p, i)
-                    for w in rule.arrows_from(v):
-                        assert rule.shift(w) in rule.arrows_from(rule.shift(v))
+                    for w in strip_arrows(k, v):
+                        assert strip_shift(k, w) in strip_arrows(k, strip_shift(k, v))
 
 
 class TestOrbitQuiver:
@@ -318,6 +291,9 @@ class TestOrbitQuiver:
             orbit_quiver(3, 0, 0)
         with pytest.raises(ValueError):
             orbit_quiver(3, -1, 1)
+        # Checked before s and r: without it, k = 0 would give an empty quotient.
+        with pytest.raises(ValueError, match=r"^need k >= 1, got k=0$"):
+            orbit_quiver(0, 1, 1)
 
     def test_construction_is_deterministic(self):
         a = orbit_quiver(3, 2, 1).quotient

@@ -297,6 +297,18 @@ class TestLazyListings:
         assert g.quiver.vertices is g.vertices
         assert listing_builds == [(14, 2, 35)]
 
+    def test_repr_builds_nothing(self, listing_builds):
+        # Pytest reprs the operands of a failing assert, so a repr that listed
+        # would report builds that the code under test never made.
+        g = gamma(5, 2)
+        part = split_components(power(gamma(10, 1), 4))[0]
+        assert repr(g) == "DiagonalQuiver(N=12, step=2, 24 vertices)"
+        assert repr(power(g, 2)) == "DiagonalQuiver(N=12, step=4, 24 vertices)"
+        assert repr(part) == f"DiagonalQuiver(N=12, step=4, {len(part.vertices)} vertices)"
+        assert listing_builds == []
+        plain = TranslationQuiver(g.quiver, g.tau)
+        assert repr(plain) == "TranslationQuiver(24 vertices, 36 arrows, stable tau on 24)"
+
     @pytest.mark.parametrize("n", [40, 46])
     def test_classify_lists_no_part_when_all_are_principal(self, listing_builds, n):
         report = classify_components(n, 1)
