@@ -7,7 +7,11 @@ before building ``gamma(n*m, 1)`` when it would have more vertices than
 the cap.  ``QUIVERKIT_CAP`` in the environment overrides it.  The
 builders ``gamma``, ``power`` and ``orbit_quiver`` are not capped.
 Angulation enumeration has its own polygon-size cap (16) because its
-output grows like a Fuss-Catalan number.  The mutation closure stops at
+output grows like a Fuss-Catalan number, and refuses any polygon with
+more angulations than ``ANGULATION_COUNT_CAP`` (250000), which no cap
+overrides: listing and writing them takes about 1.5 KB of memory each
+(the 208012 triangulations of the 14-gon peak at about 320 MB; the
+742900 of the 15-gon would take some 1.1 GB at that rate).  The mutation closure stops at
 its seed cap (10000 seeds by default, ``mutate --cap``).  Every cap must
 be positive: a cap below 1 is a ``ValueError``, which the command line
 reports as a usage error.
@@ -19,6 +23,7 @@ import os
 
 DEFAULT_VERTEX_CAP = 5000
 DEFAULT_ANGULATION_POLYGON_CAP = 16
+ANGULATION_COUNT_CAP = 250000
 DEFAULT_SEED_CAP = 10000
 
 

@@ -5,10 +5,19 @@ the dict form of a quiver being :func:`quiver_json_dict` after any extra keys.
 As indenting keeps ``json`` off its C encoder, the writers join the lists from
 labels rendered and escaped once per quiver.  Each writer renders the labels of
 the sorted vertices in one pass, then looks up arrow and tau ends, which are
-vertices (the :mod:`~quiverkit.quiver` constructors enforce it).  Extra values
-are dumped and indented one level, which is exact: ``json`` puts no raw newline
-in a string.  The writers take translation quivers only; a plain quiver ``q``
-writes as ``TranslationQuiver(q, {})``, with an empty ``"tau"``.
+vertices (the :mod:`~quiverkit.quiver` constructors enforce it).  A vertex that
+is a pair of ``int`` (exactly, not a ``bool`` or other subclass) renders
+directly as ``"(i,j)"``, which is both its JSON string and its DOT ID, as it
+holds nothing to escape; any other vertex goes through :func:`vertex_label`.
+Extra values are dumped and indented one level, which is exact: ``json`` puts
+no raw newline in a string.  The writers take translation quivers only; a
+plain quiver ``q`` writes as ``TranslationQuiver(q, {})``, with an empty
+``"tau"``.
+
+Each document is joined once.  An array of rendered items is one
+``sep.join`` of them, and an array or object of nested values is a list
+of pieces, so that the final ``"".join`` of a document's pieces, or the
+``"\\n".join`` of its DOT lines, is the only copy of its full text.
 """
 
 from __future__ import annotations
@@ -50,37 +59,59 @@ class _Rendered(dict):
 
 
 def _labels(tq: TranslationQuiver, render) -> dict:
-    """``render`` of each vertex, entered in sorted order."""
-    vertices = tq.sorted_vertices()
-    return dict(zip(vertices, map(render, vertices)))
+    """The quoted label of each vertex, entered in sorted order: ``render`` unless an int pair."""
+    return {
+        v: '"(%d,%d)"' % v
+        if type(v) is tuple and len(v) == 2 and type(v[0]) is int and type(v[1]) is int
+        else render(v)
+        for v in tq.sorted_vertices()
+    }
 
 
-def _join(items: list[str] | dict[str, str], depth: int) -> str:
-    """A JSON array of rendered items, or object of encoded keys and rendered values."""
-    brackets = "[]"
-    if isinstance(items, dict):
-        brackets, items = "{}", [k + ": " + v for k, v in items.items()]
+def _join(items: list[str], depth: int, brackets: str = "[]") -> list[str]:
+    """The pieces of a JSON array (or object, with ``"{}"``) of rendered items at ``depth``."""
     if not items:
-        return brackets
+        return [brackets]
     pad = "\n" + "  " * (depth + 1)
-    return brackets[0] + pad + ("," + pad).join(items) + "\n" + "  " * depth + brackets[1]
+    return [brackets[0] + pad, ("," + pad).join(items), "\n" + "  " * depth + brackets[1]]
 
 
-def _document(extra: dict, members: dict[str, str]) -> str:
-    """JSON text of ``extra`` updated (as by ``dict.update``) by rendered ``members``."""
-    head = {_encode(k): json.dumps(v, indent=2).replace("\n", "\n  ") for k, v in extra.items()}
-    return _join(head | members, 0) + "\n"
+def _nest(values: list[list[str]], depth: int, brackets: str = "[]") -> list[str]:
+    """The pieces of a JSON array (or object) of values given as pieces, at ``depth``."""
+    if not values:
+        return [brackets]
+    pad = "\n" + "  " * (depth + 1)
+    pieces = [brackets[0] + pad]
+    for value in values:
+        pieces += value
+        pieces.append("," + pad)
+    pieces[-1] = "\n" + "  " * depth + brackets[1]
+    return pieces
 
 
-def _quiver_members(tq: TranslationQuiver, depth: int) -> dict[str, str]:
-    """The rendered members of :func:`quiver_json_dict` in an object at ``depth``."""
+def _object(members: dict[str, list[str]], depth: int) -> list[str]:
+    """The pieces of a JSON object of encoded keys and values given as pieces."""
+    return _nest([[k + ": ", *v] for k, v in members.items()], depth, "{}")
+
+
+def _document(extra: dict, members: dict[str, list[str]]) -> str:
+    """JSON text of ``extra`` updated (as by ``dict.update``) by the pieces of ``members``."""
+    head = {_encode(k): [json.dumps(v, indent=2).replace("\n", "\n  ")] for k, v in extra.items()}
+    pieces = _object(head | members, 0)
+    pieces.append("\n")
+    return "".join(pieces)
+
+
+def _quiver_members(tq: TranslationQuiver, depth: int) -> dict[str, list[str]]:
+    """The pieces of each member of :func:`quiver_json_dict` in an object at ``depth``."""
     lab = _labels(tq, lambda v: _encode(vertex_label(v)))
-    arrow = _join(["%s", "%s"], depth + 2)
+    arrow = "".join(_join(["%s", "%s"], depth + 2))
+    # A dict first, so that equal labels collapse as in the dict form.
+    tau = {lab[y]: lab[ty] for y, ty in tq.tau.items()}
     return {
         '"vertices"': _join(list(lab.values()), depth + 1),
         '"arrows"': _join([arrow % (lab[s], lab[t]) for s, t in tq.arrows], depth + 1),
-        # A dict first, so that equal labels collapse as in the dict form.
-        '"tau"': _join({lab[y]: lab[ty] for y, ty in tq.tau.items()}, depth + 1),
+        '"tau"': _join([k + ": " + v for k, v in tau.items()], depth + 1, "{}"),
     }
 
 
@@ -91,14 +122,14 @@ def to_json(tq: TranslationQuiver, /, **extra) -> str:
 
 def components_json(parts: list[TranslationQuiver], /, **extra) -> str:
     """JSON text of the extra keys and ``"components"``, one quiver object each."""
-    quivers = [_join(_quiver_members(p, 2), 2) for p in parts]
-    return _document(extra, {'"components"': _join(quivers, 1)})
+    quivers = [_object(_quiver_members(p, 2), 2) for p in parts]
+    return _document(extra, {'"components"': _nest(quivers, 1)})
 
 
 def angulations_json(found: list[tuple[tuple[int, int], ...]], /, **extra) -> str:
     """JSON text of the extra keys and ``"angulations"``, each a list of ``[i, j]``."""
-    diagonal = _Rendered(lambda d: _join([json.dumps(i) for i in d], 3))
-    # _join(..., 2) of each angulation, its pads made once.
+    diagonal = _Rendered(lambda d: "".join(_join([json.dumps(i) for i in d], 3)))
+    # "".join(_join(..., 2)) of each angulation, its pads made once.
     open_, sep, close = "[\n      ", ",\n      ", "\n    ]"
     angulations = [
         open_ + sep.join(map(diagonal.__getitem__, coll)) + close if coll else "[]"
@@ -112,15 +143,28 @@ def _dot_id(v) -> str:
     return '"' + vertex_label(v).replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def to_dot(tq: TranslationQuiver, name: str = "quiver") -> str:
-    """One digraph; solid arrows, dashed ``tau`` edges from y to tau(y)."""
+def _dot_lines(tq: TranslationQuiver, name: str) -> list[str]:
+    """The lines of one digraph, its closing ``}`` last."""
     lab = _labels(tq, _dot_id)
     lines = [f"digraph {name} {{"]
     lines += [f"  {v};" for v in lab.values()]
     lines += [f"  {lab[s]} -> {lab[t]};" for s, t in tq.arrows]
     lines += [f'  {lab[y]} -> {lab[ty]} [style=dashed, label="tau"];' for y, ty in tq.tau.items()]
-    return "\n".join(lines) + "\n}\n"
+    lines.append("}")
+    return lines
+
+
+def to_dot(tq: TranslationQuiver, name: str = "quiver") -> str:
+    """One digraph; solid arrows, dashed ``tau`` edges from y to tau(y)."""
+    lines = _dot_lines(tq, name)
+    lines.append("")
+    return "\n".join(lines)
 
 
 def components_dot(parts: list[TranslationQuiver]) -> str:
-    return "".join(to_dot(p, name=f"component_{i}") for i, p in enumerate(parts))
+    """One digraph per part, named ``component_<i>``, one after the other."""
+    lines = []
+    for i, p in enumerate(parts):
+        lines += _dot_lines(p, f"component_{i}")
+    lines.append("")
+    return "\n".join(lines)

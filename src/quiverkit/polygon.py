@@ -24,10 +24,11 @@ with hand-labeled pictures.
 
 from __future__ import annotations
 
+from bisect import bisect
 from itertools import combinations_with_replacement, product
-from math import gcd
+from math import comb, gcd
 
-from .config import DEFAULT_ANGULATION_POLYGON_CAP
+from .config import ANGULATION_COUNT_CAP, DEFAULT_ANGULATION_POLYGON_CAP
 from .errors import SizeCapError
 from .quiver import Quiver, TranslationQuiver
 
@@ -267,6 +268,17 @@ def enumerate_angulations(
     ``(a_t, a_{t+1})`` together with an angulation of the sub-polygon
     behind it.  The whole polygon is the sub-polygon over its side
     ``(1, N)``, and sub-polygons are filled smallest first.
+
+    Each angulation is sorted as it is built.  Every diagonal ``(x, y)``
+    in a filling of the gap ``(a, b)`` has ``a <= x < y <= b``, so the
+    fillings of a cell's gaps, joined in corner order, are sorted, and a
+    filling's own m-diagonal ``(a, b)`` goes in after its diagonals
+    ``(a, y)``, the only ones that sort before it.
+
+    Raises :class:`~quiverkit.errors.SizeCapError` for a polygon above
+    ``polygon_cap`` (16 by default), and for one with more angulations
+    than :data:`~quiverkit.config.ANGULATION_COUNT_CAP`, which no cap
+    overrides.
     """
     if n < 2:
         raise ValueError(f"need n >= 2, got n={n}")
@@ -281,13 +293,19 @@ def enumerate_angulations(
             f"angulation enumeration capped at {cap}-gons (got {N}-gon); "
             "raise polygon_cap (--cap on the command line) to override"
         )
+    count = comb((m + 1) * n, n - 1) // n
+    if count > ANGULATION_COUNT_CAP:
+        raise SizeCapError(
+            f"angulation enumeration capped at {ANGULATION_COUNT_CAP} results "
+            f"(the {N}-gon has {count} {m + 2}-angulations)"
+        )
 
-    # (a, b) -> the ways to fill a cell gap a..b: a side is left empty, an
-    # m-diagonal comes with each angulation of the sub-polygon behind it.
+    # (a, b) -> the ways to fill a cell gap a..b, each sorted: a side is left
+    # empty, an m-diagonal comes with each angulation of the sub-polygon behind it.
     gap_fillings: dict[Diagonal, list[tuple[Diagonal, ...]]] = {}
 
     def angulate(i: int, j: int) -> list[tuple[Diagonal, ...]]:
-        """Angulations of the sub-polygon on labels i..j, its base (i, j) left out."""
+        """Sorted angulations of the sub-polygon on labels i..j, its base (i, j) left out."""
         found = []
         # The sub-polygon has (j - i - 1) // m cells; the corners of the one
         # over the base are a_t = i + t + m*x_t for non-decreasing x_t below that.
@@ -301,7 +319,13 @@ def enumerate_angulations(
         gap_fillings[a, a + 1] = [()]
     for width in range(m + 1, N - 1, m):
         for a in range(1, N - width + 1):
-            b = a + width
-            gap_fillings[a, b] = [((a, b),) + inner for inner in angulate(a, b)]
+            base = (a, a + width)
+            fillings = gap_fillings[base] = []
+            for inner in angulate(*base):
+                # Past the diagonals (a, y) with y < a + width, before all others.
+                k = bisect(inner, base)
+                fillings.append(inner[:k] + (base,) + inner[k:])
 
-    return sorted(tuple(sorted(coll)) for coll in angulate(1, N))
+    found = angulate(1, N)
+    found.sort()
+    return found

@@ -424,6 +424,24 @@ class TestAngulations:
         assert (code, out) == (3, "")
         assert "--cap" in err
 
+    @pytest.mark.parametrize(
+        "argv, count",
+        [(["--n", "14"], 2674440), (["--n", "15", "--cap", "17"], 9694845)],
+        ids=["default-cap", "raised-cap"],
+    )
+    def test_count_bound_refuses_before_enumerating(self, argv, count):
+        # A fresh interpreter with a time limit: an enumeration that started
+        # would list millions of angulations, over a gigabyte each time.
+        proc = _fresh_python(
+            "import sys\nfrom quiverkit.cli import main\nsys.exit(main(sys.argv[1:]))",
+            "angulations", *argv,
+        )
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("size cap: ")
+        assert f" has {count} 3-angulations" in proc.stderr
+        assert proc.stderr.count("\n") == 1
+
 
 class TestOrbit:
     def test_six_vertex_quotient(self, capsys):

@@ -305,6 +305,14 @@ class TestAngulations:
     def test_matches_grow_and_test_reference(self, n, m):
         assert enumerate_angulations(n, m) == grown_angulations(n, m)
 
+    @pytest.mark.parametrize("n,m", polygon_pairs(12))
+    def test_angulations_are_sorted_as_built(self, n, m):
+        # No angulation is sorted after it is built, so a diagonal placed out
+        # of order shows here, and in the list against the reference.
+        found = enumerate_angulations(n, m)
+        assert all(coll == tuple(sorted(coll)) for coll in found)
+        assert found == grown_angulations(n, m)
+
     @pytest.mark.parametrize("n", range(2, 7))
     def test_triangulations_are_the_clusters_of_type_a(self, n):
         # Triangulations of the (n+2)-gon are the clusters of A_{n-1}; the

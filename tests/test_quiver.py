@@ -7,6 +7,7 @@ import subprocess
 import sys
 import time
 from collections import Counter
+from enum import IntEnum
 from pathlib import Path
 from unittest import mock
 
@@ -182,10 +183,12 @@ MIXED_VERTICES = st.one_of(
 
 
 # Vertices whose labels collide ((3,) and "(3)", 3 and "3"), are not
-# ASCII, or hold characters that JSON escapes.
+# ASCII, or hold characters that JSON escapes, and pairs, whose labels the
+# writers make directly when both entries are exactly int.
 LABEL_VERTICES = st.one_of(
     st.integers(2, 4),
     st.tuples(st.integers(2, 4)),
+    st.tuples(st.integers(-1, 2) | st.booleans(), st.integers(2, 3)),
     st.sampled_from(["3", "(3)", "(2)", 'say "hi"', "back\\slash", "ünï", "日本", "\t\n", ""]),
     st.text(max_size=3),
 )
@@ -828,6 +831,16 @@ def _dumped(payload):
     return json.dumps(payload, indent=2) + "\n"
 
 
+class Side(IntEnum):
+    """An int subclass whose str is not its int's."""
+
+    LEFT = 1
+    RIGHT = 2
+
+    def __str__(self):
+        return self.name
+
+
 class TestExport:
     @given(st.lists(mixed_translation_quivers(LABEL_VERTICES), max_size=3), EXTRAS, ANGULATION_LISTS)
     @settings(max_examples=300, deadline=None)
@@ -876,6 +889,26 @@ class TestExport:
         assert text == _dumped(quiver_json_dict(tq))
         assert json.loads(text)["tau"] == {"(3)": "4"}
         assert text.count('"(3)": ') == 1
+
+    @pytest.mark.parametrize(
+        "vertices, tau",
+        [
+            ([(True, 2), (2, 3)], {(2, 3): (True, 2)}),
+            ([(1, 2.0), (2, 3)], {(2, 3): (1, 2.0)}),
+            ([(Side.LEFT, Side.RIGHT), (1, 3)], {(1, 3): (Side.LEFT, Side.RIGHT)}),
+            ([(-3, 4), (4, -3)], {(4, -3): (-3, 4)}),
+            ([(1, 2, 3), (1, 2)], {(1, 2, 3): (1, 2)}),
+            # Both render as "(1,2)": the writer collapses them as the dict form does.
+            ([(1, 2), "(1,2)", 3, 4], {(1, 2): 3, "(1,2)": 4}),
+        ],
+        ids=["bool", "float", "int-enum", "negative", "triple", "string"],
+    )
+    def test_int_pair_labels_equal_the_generic_labels(self, vertices, tau):
+        # Only a pair of exact ints takes the writers' direct label; each case
+        # must write as vertex_label and json.dumps would.
+        tq = TranslationQuiver(Quiver(vertices, [(vertices[0], vertices[1])]), tau)
+        assert to_json(tq) == _dumped(quiver_json_dict(tq))
+        assert to_dot(tq) == _reference_dot(tq.sorted_vertices(), tq.arrows, tq.tau.items())
 
     def test_json_shape_and_stability(self):
         tq = gamma(4, 1)
