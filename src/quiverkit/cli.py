@@ -3,7 +3,7 @@
 Subcommands: gamma, power, classify, mutate, angulations, orbit, verify.
 Identical inputs produce byte-identical output.  Exit codes: 0 success,
 2 usage error (including an ``--out`` path that cannot be written, a
-``--cap`` below 1 and a ``QUIVERKIT_CAP`` that is not a positive
+``mutate --cap`` below 1 and a ``QUIVERKIT_CAP`` that is not a positive
 integer), 3 size cap exceeded, 4 verification failure.  ``classify``
 reports the principal component and, for every other one, the (k, s, r)
 match of its closed-form normal form, confirmed by an isomorphism test.
@@ -71,7 +71,7 @@ def _cmd_power(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    report = classify_components(args.n, args.m, cap=args.cap)
+    report = classify_components(args.n, args.m)
     if args.report == "json":
         _emit(_dump(report.to_json_dict()), args.out)
         return 0
@@ -134,7 +134,7 @@ def _cmd_mutate(args) -> int:
 
 
 def _cmd_angulations(args) -> int:
-    found = enumerate_angulations(args.n, args.m, polygon_cap=args.cap)
+    found = enumerate_angulations(args.n, args.m)
     _emit(angulations_json(found, schema=SCHEMA, n=args.n, m=args.m, count=len(found)), args.out)
     return 0
 
@@ -187,7 +187,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--report", choices=("json", "text"), default="text")
-    p.add_argument("--cap", type=int, default=None, help="vertex cap override")
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("mutate", help="mutate a seed or enumerate cluster variables")
@@ -200,7 +199,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("angulations", help="maximal non-crossing diagonal collections")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, default=1)
-    p.add_argument("--cap", type=int, default=None, help="polygon size cap override")
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("orbit", help="quotient of the k-row strip by tau^-s ∘ [r]")

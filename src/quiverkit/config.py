@@ -6,15 +6,15 @@ and verify's power checks run on outside input: they refuse an (n, m)
 before building ``gamma(n*m, 1)`` when it would have more vertices than
 the cap.  ``QUIVERKIT_CAP`` in the environment overrides it.  The
 builders ``gamma``, ``power`` and ``orbit_quiver`` are not capped.
-Angulation enumeration has its own polygon-size cap (16) because its
-output grows like a Fuss-Catalan number, and refuses any polygon with
-more angulations than ``ANGULATION_COUNT_CAP`` (250000), which no cap
-overrides: listing and writing them takes about 1.5 KB of memory each
-(the 208012 triangulations of the 14-gon peak at about 320 MB; the
-742900 of the 15-gon would take some 1.1 GB at that rate).  The mutation closure stops at
-its seed cap (10000 seeds by default, ``mutate --cap``).  Every cap must
-be positive: a cap below 1 is a ``ValueError``, which the command line
-reports as a usage error.
+Angulation enumeration refuses, before it lists any, an (n, m) whose
+Fuss-Catalan count times ``n + m`` exceeds ``ANGULATION_WORK_CAP``
+(3000000), which nothing overrides: that product tracks the time of the
+listing, and below it no input has more angulations than the 246675 of
+the 20-gon's quadrangulations, so memory stays near the 208012
+triangulations of the 14-gon (about 320 MB).  The mutation closure stops
+at its seed cap (10000 seeds by default, ``mutate --cap``).  Every cap
+must be positive: a cap below 1 is a ``ValueError``, which the command
+line reports as a usage error.
 """
 
 from __future__ import annotations
@@ -22,8 +22,7 @@ from __future__ import annotations
 import os
 
 DEFAULT_VERTEX_CAP = 5000
-DEFAULT_ANGULATION_POLYGON_CAP = 16
-ANGULATION_COUNT_CAP = 250000
+ANGULATION_WORK_CAP = 3_000_000
 DEFAULT_SEED_CAP = 10000
 
 

@@ -28,7 +28,7 @@ from bisect import bisect
 from itertools import combinations_with_replacement, product
 from math import comb, gcd
 
-from .config import ANGULATION_COUNT_CAP, DEFAULT_ANGULATION_POLYGON_CAP
+from .config import ANGULATION_WORK_CAP
 from .errors import SizeCapError
 from .quiver import Quiver, TranslationQuiver
 
@@ -254,9 +254,22 @@ def gamma(n: int, m: int = 1) -> DiagonalQuiver:
     return _diagonal_quiver(n * m + 2, m, m_diagonals(n, m))
 
 
-def enumerate_angulations(
-    n: int, m: int = 1, polygon_cap: int | None = None
-) -> list[tuple[Diagonal, ...]]:
+def _angulation_count(n: int, m: int) -> int:
+    """The Fuss-Catalan count; ``SizeCapError`` when it times ``n + m`` is over the work cap."""
+    # The count is at least max(2^(n-1), m+1), and 2^(bit length of the cap) is over
+    # the cap, so a huge n or m is refused without a huge power or binomial.
+    least = max(1 << min(n - 1, ANGULATION_WORK_CAP.bit_length()), m + 1)
+    count = comb((m + 1) * n, n - 1) // n if least * (n + m) <= ANGULATION_WORK_CAP else None
+    if count is None or count * (n + m) > ANGULATION_WORK_CAP:
+        raise SizeCapError(
+            f"angulation enumeration capped at count * (n + m) <= {ANGULATION_WORK_CAP}: the "
+            f"{n * m + 2}-gon has {count or f'at least {least}'} {m + 2}-angulations "
+            f"and n + m = {n + m}"
+        )
+    return count
+
+
+def enumerate_angulations(n: int, m: int = 1) -> list[tuple[Diagonal, ...]]:
     """All maximal sets of pairwise non-crossing m-divisible diagonals.
 
     Each result is a sorted tuple of diagonals; the list is sorted
@@ -275,30 +288,15 @@ def enumerate_angulations(
     filling's own m-diagonal ``(a, b)`` goes in after its diagonals
     ``(a, y)``, the only ones that sort before it.
 
-    Raises :class:`~quiverkit.errors.SizeCapError` for a polygon above
-    ``polygon_cap`` (16 by default), and for one with more angulations
-    than :data:`~quiverkit.config.ANGULATION_COUNT_CAP`, which no cap
-    overrides.
+    Raises :class:`~quiverkit.errors.SizeCapError`, before listing any, when
+    the count times ``n + m`` exceeds :data:`~quiverkit.config.ANGULATION_WORK_CAP`.
     """
     if n < 2:
         raise ValueError(f"need n >= 2, got n={n}")
     if m < 1:
         raise ValueError(f"need m >= 1, got m={m}")
+    _angulation_count(n, m)
     N = n * m + 2
-    cap = DEFAULT_ANGULATION_POLYGON_CAP if polygon_cap is None else polygon_cap
-    if cap < 1:
-        raise ValueError(f"polygon cap must be positive, got {cap}")
-    if N > cap:
-        raise SizeCapError(
-            f"angulation enumeration capped at {cap}-gons (got {N}-gon); "
-            "raise polygon_cap (--cap on the command line) to override"
-        )
-    count = comb((m + 1) * n, n - 1) // n
-    if count > ANGULATION_COUNT_CAP:
-        raise SizeCapError(
-            f"angulation enumeration capped at {ANGULATION_COUNT_CAP} results "
-            f"(the {N}-gon has {count} {m + 2}-angulations)"
-        )
 
     # (a, b) -> the ways to fill a cell gap a..b, each sorted: a side is left
     # empty, an m-diagonal comes with each angulation of the sub-polygon behind it.

@@ -11,12 +11,13 @@ container inside one, and ``TranslationQuiver(q, {})`` wraps a plain
 quiver ``q``.
 
 Vertices are arbitrary hashable objects.  Every arrow end and every
-``tau`` key and image is a vertex: the public constructors raise
-``ValueError`` otherwise, and the builders make no other kind, so no code
-downstream checks for ends outside the vertex set.  The builders in this
-package use tuples of integers such as ``(1, 4)``; :func:`vertex_key`
-gives those their natural order so that every listing in the package is
-deterministic.  All structures are immutable after construction, so they
+``tau`` key and image is a vertex object: the public constructors raise
+``ValueError`` otherwise and store the vertex an end equals (``1.0`` for
+``1``), and the builders make no other kind, so no code downstream
+checks for ends outside the vertex set or labels an end apart from its
+vertex.  The builders in this package use tuples of integers such as
+``(1, 4)``; :func:`vertex_key` gives those their natural order so that
+every listing in the package is deterministic.  All structures are immutable after construction, so they
 are safe to share between threads.
 
 ``sorted_vertices()``, ``arrows`` and the pairs of ``out``/``into``
@@ -70,11 +71,14 @@ def vertex_label(v: Vertex) -> str:
     return str(v)
 
 
-def _require_vertices(vertices: frozenset, pairs: Iterable[tuple]) -> None:
-    """Raise ``ValueError`` naming the least end of ``pairs`` that is not a vertex."""
-    stray = vertices.union(*pairs) - vertices
-    if stray:
-        raise ValueError(f"arrow or tau end {min(stray, key=vertex_key)!r} is not a vertex")
+def _as_vertices(vertices: frozenset, pairs: Iterable[tuple]) -> list[tuple]:
+    """``pairs`` with each end the vertex it equals; ``ValueError`` names the least stray end."""
+    own = {v: v for v in vertices}
+    try:
+        return [(own[a], own[b]) for a, b in pairs]
+    except KeyError:
+        stray = vertices.union(*pairs) - vertices
+        raise ValueError(f"arrow or tau end {min(stray, key=vertex_key)!r} is not a vertex") from None
 
 
 class Quiver:
@@ -90,8 +94,7 @@ class Quiver:
 
     def __init__(self, vertices: Iterable[Vertex], arrows: Iterable[Arrow] = ()):
         vertices = frozenset(vertices)
-        arrows = [(s, t) for s, t in arrows]
-        _require_vertices(vertices, arrows)
+        arrows = _as_vertices(vertices, list(arrows))
         self._sorted = tuple(sorted(vertices, key=vertex_key))
         rank = {v: i for i, v in enumerate(self._sorted)}
         self._vertices, self._index = vertices, None
@@ -177,9 +180,9 @@ class TranslationQuiver:
     __slots__ = ("_quiver", "_tau")
 
     def __init__(self, quiver: Quiver, tau: Mapping[Vertex, Vertex]):
-        _require_vertices(quiver.vertices, tau.items())
+        pairs = _as_vertices(quiver.vertices, tau.items())
         self._quiver = quiver
-        self._tau = {v: tau[v] for v in sorted(tau, key=vertex_key)}
+        self._tau = dict(sorted(pairs, key=lambda p: vertex_key(p[0])))
 
     @classmethod
     def _listed(cls, vertices: list[Vertex], arrows: list[Arrow], tau: dict) -> TranslationQuiver:

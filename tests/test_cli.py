@@ -145,10 +145,9 @@ class TestClassify:
             "  component of 16 vertices: unmatched\n"
         )
 
-    def test_cap_exit_code(self, capsys):
-        code, _, err = run(
-            capsys, "classify", "--n", "4", "--m", "3", "--cap", "10"
-        )
+    def test_cap_exit_code(self, capsys, monkeypatch):
+        monkeypatch.setenv("QUIVERKIT_CAP", "10")
+        code, _, err = run(capsys, "classify", "--n", "4", "--m", "3")
         assert code == 3
         assert "size cap" in err
 
@@ -165,13 +164,11 @@ class TestClassify:
 class TestCaps:
     """A cap below 1, by flag or by QUIVERKIT_CAP, is a usage error."""
 
+    # The id is the one this row had beside the deleted classify and
+    # angulations --cap rows.
     @pytest.mark.parametrize(
         "argv",
-        [
-            ("classify", "--n", "3", "--m", "2"),
-            ("angulations", "--n", "3", "--m", "2"),
-            ("mutate", "--matrix", "[[0,1],[-1,0]]", "--enumerate"),
-        ],
+        [pytest.param(("mutate", "--matrix", "[[0,1],[-1,0]]", "--enumerate"), id="argv2")],
     )
     @pytest.mark.parametrize("cap", ["0", "-1"])
     def test_non_positive_cap_is_a_usage_error(self, capsys, argv, cap):
@@ -189,6 +186,18 @@ class TestCaps:
         assert code == 2
         assert out == ""
         assert err == f"error: QUIVERKIT_CAP must be positive, got {raw!r}\n"
+
+    @pytest.mark.parametrize(
+        "argv", [("angulations", "--n", "3"), ("classify", "--n", "3", "--m", "2")]
+    )
+    def test_cap_flag_is_unknown(self, capsys, argv):
+        # angulations has a computed bound and classify reads QUIVERKIT_CAP:
+        # a --cap there is refused, never ignored.
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--cap", "5"])
+        out = capsys.readouterr()
+        assert (exc.value.code, out.out) == (2, "")
+        assert "unrecognized arguments: --cap 5" in out.err
 
 
 class TestMutate:
@@ -321,7 +330,7 @@ print(" ".join(sorted(loaded)))
 """
 
 
-def _fresh_python(code, *argv):
+def _fresh_python(code, *argv, timeout=120):
     """Run ``code`` in a fresh interpreter, as this test process has loaded
     the test tools."""
     src = str(Path(quiverkit.__file__).resolve().parents[1])
@@ -331,7 +340,7 @@ def _fresh_python(code, *argv):
         env={**os.environ, "PYTHONPATH": path},
         capture_output=True,
         text=True,
-        timeout=120,
+        timeout=timeout,
     )
 
 
@@ -419,14 +428,23 @@ class TestAngulations:
         code, _, _ = run(capsys, "angulations", "--n", "15", "--m", "1")
         assert code == 3
 
-    def test_cap_message_names_the_option(self, capsys):
-        code, out, err = run(capsys, "angulations", "--n", "20")
+    def test_cap_message_names_the_count_and_the_bound(self, capsys):
+        code, out, err = run(capsys, "angulations", "--n", "13")
         assert (code, out) == (3, "")
-        assert "--cap" in err
+        assert err == (
+            "size cap: angulation enumeration capped at count * (n + m) <= 3000000: "
+            "the 15-gon has 742900 3-angulations and n + m = 14\n"
+        )
+
+    def test_newly_bounded_polygon_runs(self, capsys):
+        # An 18-gon with 43263 * 10 = 432630 under the bound.
+        code, out, _ = run(capsys, "angulations", "--n", "8", "--m", "2")
+        assert code == 0
+        assert json.loads(out)["count"] == 43263
 
     @pytest.mark.parametrize(
         "argv, count",
-        [(["--n", "14"], 2674440), (["--n", "15", "--cap", "17"], 9694845)],
+        [(["--n", "14"], 2674440), (["--n", "15"], 9694845)],
         ids=["default-cap", "raised-cap"],
     )
     def test_count_bound_refuses_before_enumerating(self, argv, count):
@@ -441,6 +459,19 @@ class TestAngulations:
         assert proc.stderr.startswith("size cap: ")
         assert f" has {count} 3-angulations" in proc.stderr
         assert proc.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv", [["--n", "1000000"], ["--n", "2", "--m", "100000"], ["--n", "3", "--m", "1000"]]
+    )
+    def test_huge_inputs_are_refused_at_once(self, argv):
+        # Refused from the lower bound or one small binomial: neither a
+        # listing nor a binomial of millions of digits fits the time limit.
+        proc = _fresh_python(
+            "import sys\nfrom quiverkit.cli import main\nsys.exit(main(sys.argv[1:]))",
+            "angulations", *argv, timeout=10,
+        )
+        assert (proc.returncode, proc.stdout) == (3, "")
+        assert proc.stderr.startswith("size cap: ") and proc.stderr.count("\n") == 1
 
 
 class TestOrbit:

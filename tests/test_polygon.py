@@ -24,7 +24,8 @@ from quiverkit import (
     row_of,
     validate_translation_quiver,
 )
-from quiverkit.polygon import DiagonalQuiver
+from quiverkit.config import ANGULATION_WORK_CAP
+from quiverkit.polygon import DiagonalQuiver, _angulation_count
 
 # Catalan numbers from the convolution recurrence, independent of any
 # enumeration below.
@@ -257,7 +258,7 @@ class TestAngulations:
 
     def test_triangulation_counts_match_catalan(self):
         for n in range(2, 8):
-            found = enumerate_angulations(n, 1, polygon_cap=16)
+            found = enumerate_angulations(n, 1)
             assert len(found) == CATALAN[n]
 
     def test_octagon_quadrangulations(self):
@@ -321,8 +322,32 @@ class TestAngulations:
         assert len(enumerate_angulations(n, 1)) == closure.seed_count
 
     def test_polygon_cap(self):
-        with pytest.raises(SizeCapError):
+        # The 17-gon is over the work bound: 9694845 triangulations, times n + m = 16.
+        with pytest.raises(SizeCapError, match=r"has 9694845 3-angulations and n \+ m = 16$"):
             enumerate_angulations(15, 1)
+        # The largest product among the inputs of the former 16-gon cap: 208012 * 13.
+        assert _angulation_count(12, 1) * 13 == 2704156 <= ANGULATION_WORK_CAP
+
+    def test_work_bound_accepts_every_formerly_accepted_input(self):
+        # Every (n, m) that the 16-gon cap and the 250000-count cap accepted.
+        pairs = [
+            (n, m) for n, m in polygon_pairs(16) if comb((m + 1) * n, n - 1) // n <= 250000
+        ]
+        assert len(pairs) == 25
+        for n, m in pairs:
+            assert _angulation_count(n, m) == comb((m + 1) * n, n - 1) // n
+
+    def test_work_bound_is_exact(self):
+        # The lower bound max(2^(n-1), m+1) refuses no input that the exact
+        # count accepts, and every refusal is over the cap.
+        for n in range(2, 40):
+            for m in [*range(1, 60), *range(120, 130), *range(1725, 1735), 10**6]:
+                work = comb((m + 1) * n, n - 1) // n * (n + m)
+                if work <= ANGULATION_WORK_CAP:
+                    assert _angulation_count(n, m) * (n + m) == work
+                else:
+                    with pytest.raises(SizeCapError):
+                        _angulation_count(n, m)
 
     def test_gap_helper(self):
         assert cyclic_gap((1, 7), 8) == 2

@@ -891,22 +891,25 @@ class TestExport:
         assert text.count('"(3)": ') == 1
 
     @pytest.mark.parametrize(
-        "vertices, tau",
+        "vertices, ends, tau",
         [
-            ([(True, 2), (2, 3)], {(2, 3): (True, 2)}),
-            ([(1, 2.0), (2, 3)], {(2, 3): (1, 2.0)}),
-            ([(Side.LEFT, Side.RIGHT), (1, 3)], {(1, 3): (Side.LEFT, Side.RIGHT)}),
-            ([(-3, 4), (4, -3)], {(4, -3): (-3, 4)}),
-            ([(1, 2, 3), (1, 2)], {(1, 2, 3): (1, 2)}),
+            ([(True, 2), (2, 3)], None, {(2, 3): (True, 2)}),
+            ([(1, 2.0), (2, 3)], None, {(2, 3): (1, 2.0)}),
+            ([(Side.LEFT, Side.RIGHT), (1, 3)], None, {(1, 3): (Side.LEFT, Side.RIGHT)}),
+            ([(-3, 4), (4, -3)], None, {(4, -3): (-3, 4)}),
+            ([(1, 2, 3), (1, 2)], None, {(1, 2, 3): (1, 2)}),
             # Both render as "(1,2)": the writer collapses them as the dict form does.
-            ([(1, 2), "(1,2)", 3, 4], {(1, 2): 3, "(1,2)": 4}),
+            ([(1, 2), "(1,2)", 3, 4], None, {(1, 2): 3, "(1,2)": 4}),
+            # Ends equal to a vertex but printed apart from it are stored as the vertex.
+            ([1.0, 2], (1, 2), {2: 1, 1: 2}),
+            ([(1, 2.0), (2, 3)], ((1, 2), (2, 3.0)), {(2.0, 3): (1, 2), (1, 2): (2, 3)}),
         ],
-        ids=["bool", "float", "int-enum", "negative", "triple", "string"],
+        ids=["bool", "float", "int-enum", "negative", "triple", "string", "float-end", "pair-end"],
     )
-    def test_int_pair_labels_equal_the_generic_labels(self, vertices, tau):
+    def test_int_pair_labels_equal_the_generic_labels(self, vertices, ends, tau):
         # Only a pair of exact ints takes the writers' direct label; each case
         # must write as vertex_label and json.dumps would.
-        tq = TranslationQuiver(Quiver(vertices, [(vertices[0], vertices[1])]), tau)
+        tq = TranslationQuiver(Quiver(vertices, [ends or (vertices[0], vertices[1])]), tau)
         assert to_json(tq) == _dumped(quiver_json_dict(tq))
         assert to_dot(tq) == _reference_dot(tq.sorted_vertices(), tq.arrows, tq.tau.items())
 
