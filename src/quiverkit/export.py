@@ -17,12 +17,15 @@ plain quiver ``q`` writes as ``TranslationQuiver(q, {})``, with an empty
 Each document is joined once.  An array of rendered items is one
 ``sep.join`` of them, and an array or object of nested values is a list
 of pieces, so that the final ``"".join`` of a document's pieces, or the
-``"\\n".join`` of its DOT lines, is the only copy of its full text.
+``"\\n".join`` of its DOT lines, is the only copy of its full text.  The
+``"arrows"`` and ``"angulations"`` arrays are each one ``%`` format of their
+items' templates (one per arrow, one per angulation size) over all labels.
 """
 
 from __future__ import annotations
 
 import json
+from itertools import chain
 from json.encoder import encode_basestring_ascii as _encode
 
 from .quiver import TranslationQuiver, vertex_label
@@ -76,6 +79,11 @@ def _join(items: list[str], depth: int, brackets: str = "[]") -> list[str]:
     return [brackets[0] + pad, ("," + pad).join(items), "\n" + "  " * depth + brackets[1]]
 
 
+def _filled(templates: list[str], depth: int, label: dict, items: list[tuple]) -> list[str]:
+    """The pieces of a JSON array of ``templates`` at ``depth``, filled by labels of ``items``."""
+    return ["".join(_join(templates, depth)) % tuple(map(label.__getitem__, chain(*items)))]
+
+
 def _nest(values: list[list[str]], depth: int, brackets: str = "[]") -> list[str]:
     """The pieces of a JSON array (or object) of values given as pieces, at ``depth``."""
     if not values:
@@ -110,7 +118,7 @@ def _quiver_members(tq: TranslationQuiver, depth: int) -> dict[str, list[str]]:
     tau = {lab[y]: lab[ty] for y, ty in tq.tau.items()}
     return {
         '"vertices"': _join(list(lab.values()), depth + 1),
-        '"arrows"': _join([arrow % (lab[s], lab[t]) for s, t in tq.arrows], depth + 1),
+        '"arrows"': _filled([arrow] * len(tq.arrows), depth + 1, lab, tq.arrows),
         '"tau"': _join([k + ": " + v for k, v in tau.items()], depth + 1, "{}"),
     }
 
@@ -129,13 +137,10 @@ def components_json(parts: list[TranslationQuiver], /, **extra) -> str:
 def angulations_json(found: list[tuple[tuple[int, int], ...]], /, **extra) -> str:
     """JSON text of the extra keys and ``"angulations"``, each a list of ``[i, j]``."""
     diagonal = _Rendered(lambda d: "".join(_join([json.dumps(i) for i in d], 3)))
-    # "".join(_join(..., 2)) of each angulation, its pads made once.
-    open_, sep, close = "[\n      ", ",\n      ", "\n    ]"
-    angulations = [
-        open_ + sep.join(map(diagonal.__getitem__, coll)) + close if coll else "[]"
-        for coll in found
-    ]
-    return _document(extra, {'"angulations"': _join(angulations, 1)})
+    # One template per angulation size, "[]" for size 0, filled by one format.
+    template = _Rendered(lambda size: "".join(_join(["%s"] * size, 2)))
+    array = _filled([template[len(c)] for c in found], 1, diagonal, found)
+    return _document(extra, {'"angulations"': array})
 
 
 def _dot_id(v) -> str:

@@ -23,9 +23,9 @@ the representatives ``0 <= p < S + k + 1 - i``, and ``v`` folds to
 ``p' = p mod (2S + k + 1)`` in its own row unless ``p'`` lies past them,
 in which case it is ``g`` of ``(p' - S - (k + 1 - i), k + 1 - i)``.
 The quotient has ``N = k*S`` vertices for ``rho = 0`` and
-``N = k(k+1)/2 + k*S`` for ``rho = 1``.  For ``k = 1`` the shift is
-``tau^-1`` and the quotient is an arrowless tau-cycle of ``s + r``
-vertices.
+``N = k(k+1)/2 + k*S`` for ``rho = 1``; the ends of a representative's arrows
+and translate need folding only where they cross the seam.  For ``k = 1`` the
+shift is ``tau^-1`` and the quotient an arrowless tau-cycle of ``s + r`` vertices.
 
 The quotient ``ZA_k / tau^-1 [m]`` is the diagonal quiver
 ``gamma(k+1, m)`` of the ((k+1)m+2)-gon, label for label under
@@ -79,10 +79,10 @@ def orbit_quiver(k: int, s: int, r: int) -> OrbitQuiver:
     with ``p >= 0`` minimal along the orbit, computed in closed form from
     the normal form ``tau^-S ∘ [rho]`` (see the module docstring).  Each one
     lists the strip's arrows to ``(p, i+1)`` if ``i < k`` and to ``(p+1, i-1)``
-    if ``i > 1``, and its translate ``(p-1, i)``, each end folded onto its
-    representative.  They come in :func:`~quiverkit.quiver.vertex_key` order
-    (slice ``p``, then row ``i``: tuple order), so ``sorted`` orders each one's
-    (at most two) arrow targets; the listings go to ``TranslationQuiver._listed``.
+    if ``i > 1``, and its translate ``(p-1, i)``; only ends past the seam, up
+    from ``p = S+k-i`` (rho = 1), down from ``p = S-1`` (rho = 0) and tau from
+    ``p = 0``, are folded.  They come in :func:`~quiverkit.quiver.vertex_key`
+    order, so one tuple comparison orders each one's two arrow targets.
     """
     if k < 1:
         raise ValueError(f"need k >= 1, got k={k}")
@@ -93,7 +93,7 @@ def orbit_quiver(k: int, s: int, r: int) -> OrbitQuiver:
     S, rho = s + (k + 1) * (r // 2), r % 2
     period = S + rho * (S + k + 1)  # g^(1 + rho) = tau^-period
 
-    def normalize(p: int, i: int) -> ZAVertex:
+    def fold(p: int, i: int) -> ZAVertex:
         p %= period
         q = p - S - rho * (k + 1 - i)  # >= 0 only for rho = 1
         return (q, k + 1 - i) if q >= 0 else (p, i)
@@ -105,10 +105,10 @@ def orbit_quiver(k: int, s: int, r: int) -> OrbitQuiver:
     tau = {}
     for c in reps:
         p, i = c
-        up = [normalize(p, i + 1)] if i < k else []
-        down = [normalize(p + 1, i - 1)] if i > 1 else []
-        arrows += [(c, t) for t in sorted(up + down)]
-        tau[c] = normalize(p - 1, i)
+        up = ((c, (p, i + 1) if p < S + rho * (k - i) else fold(p, i + 1)),) if i < k else ()
+        down = ((c, (p + 1, i - 1) if rho or p + 1 < S else fold(p + 1, i - 1)),) if i > 1 else ()
+        arrows += up + down if up < down else down + up
+        tau[c] = (p - 1, i) if p else fold(-1, i)
 
     return OrbitQuiver(k=k, quotient=TranslationQuiver._listed(reps, arrows, tau))
 

@@ -197,15 +197,18 @@ class DiagonalQuiver(TranslationQuiver):
     def _split(self) -> list[DiagonalQuiver]:
         """The components, in :func:`~quiverkit.quiver.split_components` order.
 
-        Each vertex goes to the orbit of its key; orbits come in order of
-        their least vertex, and the sort by size is stable.
+        Each key (c, a) that occurs, numbered c*d + a, gets its orbit once, and each vertex
+        goes to its key's orbit; orbits come in order of their least vertex, sorted stably by size.
         """
         N, s = self.N, self.step
         d = gcd(s, N)
+        keys = [(j - i) % s * d + i % d for i, j in self._verts]
+        orbit = {
+            x: min((c, a), ((N - c) % s, (a + c) % d)) for x in set(keys) for c, a in [divmod(x, d)]
+        }
         parts: dict[tuple[int, int], list[Diagonal]] = {}
-        for v in self._verts:
-            c, a = (v[1] - v[0]) % s, v[0] % d
-            parts.setdefault(min((c, a), ((N - c) % s, (a + c) % d)), []).append(v)
+        for v, x in zip(self._verts, keys):
+            parts.setdefault(orbit[x], []).append(v)
         return [_diagonal_quiver(N, s, p) for p in sorted(parts.values(), key=len, reverse=True)]
 
 
@@ -286,7 +289,9 @@ def enumerate_angulations(n: int, m: int = 1) -> list[tuple[Diagonal, ...]]:
     in a filling of the gap ``(a, b)`` has ``a <= x < y <= b``, so the
     fillings of a cell's gaps, joined in corner order, are sorted, and a
     filling's own m-diagonal ``(a, b)`` goes in after its diagonals
-    ``(a, y)``, the only ones that sort before it.
+    ``(a, y)``, the only ones that sort before it.  Each list is merged from
+    sorted runs: all fillings of a gap have one length, so for fixed corners
+    ``product`` gives lexicographic order, and adding the common base keeps it.
 
     Raises :class:`~quiverkit.errors.SizeCapError`, before listing any, when
     the count times ``n + m`` exceeds :data:`~quiverkit.config.ANGULATION_WORK_CAP`.
@@ -311,6 +316,7 @@ def enumerate_angulations(n: int, m: int = 1) -> list[tuple[Diagonal, ...]]:
             corners = (i, *(i + t + m * x for t, x in enumerate(xs, 1)), j)
             parts = [gap_fillings[gap] for gap in zip(corners, corners[1:])]
             found.extend(sum(combo, ()) for combo in product(*parts))
+        found.sort()
         return found
 
     for a in range(1, N):
@@ -324,6 +330,4 @@ def enumerate_angulations(n: int, m: int = 1) -> list[tuple[Diagonal, ...]]:
                 k = bisect(inner, base)
                 fillings.append(inner[:k] + (base,) + inner[k:])
 
-    found = angulate(1, N)
-    found.sort()
-    return found
+    return angulate(1, N)

@@ -235,14 +235,17 @@ class TestOrbitQuiver:
     def test_closed_form_agrees_with_walking_the_action(self):
         # The walked quotient sorts through the public constructors, so equal
         # listings pin the order in which orbit_quiver lists without sorting.
+        # r <= 8 takes S = s + (k+1)*(r // 2) up to r // 2 = 4; (60, 70, 2)
+        # folds down at the seam (rho = 0), (60, 0, 1) has S = 0 and (1, 70, 1)
+        # one row.
         grid = [
             (k, s, r)
-            for k in range(1, 7)
+            for k in range(1, 9)
             for s in range(0, 6)
-            for r in range(0, 6)
+            for r in range(0, 9)
             if (s, r) != (0, 0)
         ]
-        for k, s, r in grid + [(12, 5, 1), (60, 70, 1)]:
+        for k, s, r in grid + [(12, 5, 1), (60, 70, 1), (60, 70, 2), (60, 0, 1), (1, 70, 1)]:
             got = orbit_quiver(k, s, r).quotient
             expected = walked_orbit_quiver(k, s, r)
             assert got.sorted_vertices() == expected.sorted_vertices(), (k, s, r)
