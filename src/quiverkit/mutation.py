@@ -20,15 +20,18 @@ Cluster entries are elements of sympy's sparse rational-function field
 ZZ(u_1, ..., u_n) in graded-lexicographic order, one field per n, kept in
 the field's canonical form: coprime numerator and denominator with a
 positive grlex-leading denominator coefficient, so equality, hashing and
-rendering all see one form.  Every cluster variable of a
+rendering all see one form.  The exchange relation builds its two
+products and their sum from numerators and denominators in
+ZZ[u_1, ..., u_n], left uncancelled, and puts the sum in canonical form
+once, in the division by x_k.  Every cluster variable of a
 skew-symmetrizable seed is a Laurent polynomial f / u^d (Fomin-Zelevinsky's
-Laurent phenomenon), so the exchange division is done exactly in
-ZZ[u_1, ..., u_n] with monomial bookkeeping and no gcd; the field's own
-cancelling division is the fallback for every other case, including the
-non-Laurent entries that other sign-skew-symmetric seeds reach.  sympy is
-imported when a field is first built (:func:`variables`, ``_field``), not
-when this module loads, so only ``mutate`` and the ``verify`` checks that
-mutate load it.
+Laurent phenomenon), so there the sum's denominator is a monomial and the
+division is exact division in ZZ[u_1, ..., u_n] with monomial bookkeeping:
+a Laurent exchange runs no gcd.  Any other exchange, including those of the
+non-Laurent entries that other sign-skew-symmetric seeds reach, runs one,
+in the field's cancelling division.  sympy is imported when a field is
+first built (:func:`variables`, ``_field``), not when this module loads,
+so only ``mutate`` and the ``verify`` checks that mutate load it.
 
 :func:`enumerate_cluster_variables` walks the exchange graph breadth
 first, for a skew-symmetrizable B (positive d_i with d_i b_ij =
@@ -55,7 +58,8 @@ seeds that the fractions do.  A step builds the new g-vectors only; B
 and C are mutated when a seed is admitted.  A fraction is computed only
 when an admitted seed brings a g-vector not met before, by one exchange
 relation in the seed it was reached from: a closure does (variables - n)
-exchanges.
+exchanges.  Mutation is an involution, so the step at the direction a
+seed was reached by leads back to its parent; the walk skips it.
 """
 
 from __future__ import annotations
@@ -112,8 +116,10 @@ def _laurent_quotient(f: FracElement, g: FracElement) -> FracElement | None:
     """``f / g`` in canonical form without a gcd, or None if this path cannot decide it.
 
     It decides it when f is nonzero and both denominators are monomials
-    u^a with coefficient 1, as every Laurent cluster variable's is.  Writing
-    f = p / u^a and g = u^c * r / u^b with no u_i dividing r, the quotient
+    u^a with coefficient 1, as every Laurent cluster variable's is, and as
+    the uncancelled sum that :func:`_exchange` passes as f then has; neither
+    argument need be in canonical form.  Writing f = p / u^a and
+    g = u^c * r / u^b with no u_i dividing r, the quotient
     is p * u^b / (r * u^(a+c)): exact division p / r = u^e * q leaves
     q * u^(b+e-a-c).  Its parts q * u^(net+) and u^(net-) are coprime and
     the denominator is a monomial with coefficient +1, which is the field's
@@ -142,12 +148,13 @@ class LaurentFraction:
     A thin wrapper around one element of ``_field(n)``; construct via
     :meth:`from_expr` or :func:`initial_cluster`.  Every value is kept in
     the field's canonical form, so equal values always compare (and hash)
-    equal.  Addition, multiplication and powers are the field's own.
-    Division of two Laurent polynomials (monomial denominators) is exact
-    division of polynomials with the monomial parts moved into the
-    exponents, and runs no gcd; any other division, and one whose exact
-    division fails (the result is then not Laurent), is the field's
-    cancelling division.
+    equal; the one exception is the uncancelled dividend that
+    :func:`_exchange` builds and divides at once.  Addition,
+    multiplication and powers are the field's own.  Division of two
+    Laurent polynomials (monomial denominators) is exact division of
+    polynomials with the monomial parts moved into the exponents, and runs
+    no gcd; any other division, and one whose exact division fails (the
+    result is then not Laurent), is the field's cancelling division.
     """
 
     __slots__ = ("_f",)
@@ -423,20 +430,24 @@ def initial_seed(M: ExchangeMatrix) -> Seed:
 
 
 def _exchange(cluster: tuple[LaurentFraction, ...], rows, c: int) -> LaurentFraction:
-    """The entry replacing ``cluster[c]`` (0-based) by the exchange relation on column c."""
+    """The entry replacing ``cluster[c]`` (0-based) by the exchange relation on column c.
+
+    Both products and their sum are built uncancelled in ZZ[u_1, ..., u_n];
+    the division by ``cluster[c]`` alone puts the result in canonical form,
+    with no gcd when every entry is Laurent (module docstring).
+    """
     xk = cluster[c]
     if xk.numerator.is_zero:
         raise ZeroDivisionError("cannot mutate a seed whose active entry is zero")
-    one = LaurentFraction(_field(len(cluster)).one)
-    pos = one
-    neg = one
+    field = _field(len(cluster))
+    pn = pd = nn = nd = field.ring.one
     for x, row in zip(cluster, rows):
         e = row[c]
         if e > 0:
-            pos = pos * x**e
+            pn, pd = pn * x.numerator**e, pd * x.denominator**e
         elif e < 0:
-            neg = neg * x ** (-e)
-    return (pos + neg) / xk
+            nn, nd = nn * x.numerator ** (-e), nd * x.denominator ** (-e)
+    return LaurentFraction(field.raw_new(pn * nd + nn * pd, pd * nd)) / xk
 
 
 def mutate_seed(seed: Seed, k: int) -> Seed:
@@ -505,14 +516,19 @@ def _closure(M0: ExchangeMatrix, cap: int, kind) -> ClosureResult:
 
     ``kind`` is :class:`_GVectorSeeds` in :func:`enumerate_cluster_variables`;
     it is the seam through which tests run oracle closures on the same loop.
+    Each queue entry carries the direction it was reached by, and the step
+    back along it, to the already seen parent, is skipped: an uncapped
+    closure of S seeds makes n + (S-1)(n-1) steps.
     """
     seeds = kind(M0)
     seen = {seeds.start_key}
-    queue = deque([seeds.start])
+    queue = deque([(seeds.start, -1)])
     cap_reached = False
     while queue:
-        seed = queue.popleft()
+        seed, came = queue.popleft()
         for c in range(M0.n):
+            if c == came:
+                continue
             nxt = seeds.step(seed, c)
             key = seeds.key(nxt)
             if key in seen:
@@ -522,7 +538,7 @@ def _closure(M0: ExchangeMatrix, cap: int, kind) -> ClosureResult:
                 queue.clear()
                 break
             seen.add(key)
-            queue.append(seeds.admit(seed, c, nxt))
+            queue.append((seeds.admit(seed, c, nxt), c))
     return ClosureResult(
         variables=seeds.variables(), cap_reached=cap_reached, seed_count=len(seen)
     )
@@ -534,10 +550,11 @@ def enumerate_cluster_variables(M0: ExchangeMatrix, cap: int = DEFAULT_SEED_CAP)
     ``M0`` must be skew-symmetrizable: positive d_i with d_i b_ij =
     -d_j b_ji, which implies sign-skew-symmetry.  Any other ``M0``, or
     ``cap <= 0``, raises ``ValueError``.  Seeds are visited breadth first,
-    directions 1..n in turn from each.  Only admitted seeds contribute
-    variables: when a new seed would be the (cap + 1)-th, the search stops
-    and the result carries ``cap_reached=True`` and ``seed_count == cap``
-    instead of failing.
+    directions 1..n in turn from each, except the direction a seed was
+    reached by, which leads back to its parent and is not recomputed.
+    Only admitted seeds contribute variables: when a new seed would be the
+    (cap + 1)-th, the search stops and the result carries
+    ``cap_reached=True`` and ``seed_count == cap`` instead of failing.
 
     Seeds carry integer B, g-vectors and c-vectors and are keyed by their
     set of g-vectors, which determines the seed because [B; C] keeps full

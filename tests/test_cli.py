@@ -1,6 +1,7 @@
 """Command-line interface: formats, determinism and exit codes."""
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -219,6 +220,63 @@ class TestMutate:
         assert payload["count"] == 5
         assert payload["cap_reached"] is False
         assert "(u_1 + u_2 + 1) / u_1*u_2" in payload["variables"]
+
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            pytest.param(
+                (
+                    "--enumerate",
+                    "--matrix",
+                    "[[0,1,0,0,0],[-1,0,1,0,0],[0,-1,0,1,0],[0,0,-1,0,1],[0,0,0,-1,0]]",
+                ),
+                "2fc62ef9e609825ab57a0fcdc3dc4ec5247035b40303cf7a56065b18ccfe2bdd",
+                id="A_5",
+            ),
+            pytest.param(
+                ("--enumerate", "--matrix", "[[0,1,0,0],[-1,0,1,1],[0,-1,0,0],[0,-1,0,0]]"),
+                "8092faf955736243cfad87bee169c15dc4f70f15c9222aebe6b74fe79c404066",
+                id="D_4",
+            ),
+            pytest.param(
+                ("--enumerate", "--matrix", "[[0,1,0],[-2,0,1],[0,-1,0]]"),
+                "b780adcb4012b4b9963d3fd5c7d4ca10f657dd90249fe60fc13f800deffb6063",
+                id="B_3",
+            ),
+            pytest.param(
+                ("--enumerate", "--matrix", "[[0,1],[-3,0]]"),
+                "8f0ee3a638d18c1c898dbe91f43f0f4084ddfaf7bbc4dc747198a22f3eb112a3",
+                id="G_2",
+            ),
+            pytest.param(
+                ("--enumerate", "--matrix", "[[0,1,0,0],[-1,0,1,0],[0,-2,0,1],[0,0,-1,0]]"),
+                "0efcec8a596ea939315177513fdd647350855d9a4cf2d7a010c3111464b676ce",
+                id="F_4",
+            ),
+            pytest.param(
+                (
+                    "--enumerate",
+                    "--matrix",
+                    "[[0,1,0,0,0,0],[-1,0,1,0,0,0],[0,-1,0,1,0,1],"
+                    "[0,0,-1,0,1,0],[0,0,0,-1,0,0],[0,0,-1,0,0,0]]",
+                ),
+                "98101af9835f817ffddab28680b6217bd4ffae86d09fdd5610346322a9268f08",
+                id="E_6",
+            ),
+            pytest.param(
+                ("--matrix", "[[0,3,-1],[-2,0,4],[1,-1,0]]", "--steps", "1,2,3,1,2"),
+                "c969cbf20b0b766944144bb224411f615afc351e57c21f0f0c809f3513d98107",
+                id="non-Laurent-steps",
+            ),
+        ],
+    )
+    def test_output_bytes_are_pinned(self, capsys, argv, digest):
+        # SHA-256 of stdout.  The walk ends with two entries whose
+        # denominators are not monomials, so the pins cover the cancelling
+        # division as well as the exact one.
+        code, out, _ = run(capsys, "mutate", *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_bad_json_matrix(self, capsys):
         code, _, err = run(capsys, "mutate", "--matrix", "[[0,1],")

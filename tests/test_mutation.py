@@ -311,6 +311,66 @@ class TestSeedMutation:
             mutate_seed(initial_seed(a_path_matrix(2)), 3)
 
 
+def field_exchange(cluster, rows, c):
+    """The exchange relation (prod x_i^b + prod x_i^-b) / x_k in ``LaurentFraction``
+    arithmetic, each product and the sum cancelled by the field: the reference
+    that ``mutation._exchange`` is held to."""
+    xk = cluster[c]
+    pos = neg = LaurentFraction(xk._f.field.one)
+    for x, row in zip(cluster, rows):
+        e = row[c]
+        if e > 0:
+            pos = pos * x**e
+        elif e < 0:
+            neg = neg * x ** (-e)
+    return (pos + neg) / xk
+
+
+class TestExchange:
+    """``_exchange`` gives the reference's canonical numerator and denominator
+    in every direction of each seed a walk passes before its last step; the
+    walk itself steps by the reference."""
+
+    @staticmethod
+    def check_walk(M, walk):
+        """Compare the exchanges; True iff some reference result is not Laurent."""
+        cluster, rows = initial_seed(M).cluster, M._m
+        reached_non_laurent = False
+        for k in walk:
+            for c in range(M.n):
+                got = mutation._exchange(cluster, rows, c)
+                want = field_exchange(cluster, rows, c)
+                assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+                reached_non_laurent |= not want.is_laurent()
+            cluster = cluster[: k - 1] + (field_exchange(cluster, rows, k - 1),) + cluster[k:]
+            rows = mutate_matrix(ExchangeMatrix._from_rows(rows), k)._m
+        return reached_non_laurent
+
+    # Walks of three steps, as in TestLaurentPhenomenon: one more can blow
+    # up, e.g. rows ((0, 4, -86), (-2, 0, 25), (52, -30, 0)) after steps
+    # 2, 1, 2 on [[0, -4, -2], [2, 0, -3], [4, 2, 0]].
+    @given(M=skew_symmetrizable_matrices(), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_laurent_seeds(self, M, data):
+        walk = data.draw(st.lists(st.integers(1, M.n), max_size=3))
+        assert not self.check_walk(M, walk)
+
+    @given(
+        M=st.one_of(st.just(NOT_SYMMETRIZABLE), sign_skew_matrices(max_n=3)), data=st.data()
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_cancelling_seeds(self, M, data):
+        # NOT_SYMMETRIZABLE takes five steps in a few seconds at most, and 72
+        # of its 243 five-step walks leave the Laurent polynomials.
+        size = 5 if M is NOT_SYMMETRIZABLE else 3
+        self.check_walk(M, data.draw(st.lists(st.integers(1, M.n), max_size=size)))
+
+    def test_non_laurent_walk(self):
+        # Step 5 leaves the Laurent polynomials, step 6 divides by an entry
+        # whose denominator is not a monomial, and the seed after it has two.
+        assert self.check_walk(NOT_SYMMETRIZABLE, [1, 2, 1, 3, 2, 3, 1])
+
+
 class TestClosure:
     def test_rank_one(self):
         res = enumerate_cluster_variables(ExchangeMatrix([[0]]))
@@ -526,11 +586,39 @@ class TestGVectorClosure:
         exchanges = counting(monkeypatch, "_exchange")
         mutations = counting(monkeypatch, "mutate_seed")
         row_mutations = counting(monkeypatch, "_mutate_rows")
+        steps = []
+        step = _GVectorSeeds.step
+        monkeypatch.setattr(_GVectorSeeds, "step", lambda *a: steps.append(a) or step(*a))
         res = enumerate_cluster_variables(M, cap)
         assert len(exchanges) == len(res.variables) - M.n
         assert mutations == []
         # B and C are mutated once per admitted seed, none for the start.
         assert len(row_mutations) == 2 * (res.seed_count - 1)
+        if not res.cap_reached:
+            # n steps from the start, and from every other seed all but the
+            # step back along the direction it was reached by.
+            assert len(steps) == M.n + (res.seed_count - 1) * (M.n - 1)
+
+    @pytest.mark.parametrize(
+        "M",
+        [
+            a_path_matrix(5),
+            exchange(4, (1, 2, 1, 1), (2, 3, 1, 1), (2, 4, 1, 1)),
+            exchange(3, (1, 2, 1, 2), (2, 3, 1, 1)),
+            exchange(2, (1, 2, 1, 3)),
+        ],
+        ids=["A_5", "D_4", "B_3", "G_2"],
+    )
+    def test_a_laurent_closure_runs_no_gcd(self, monkeypatch, M):
+        from sympy.polys.rings import PolyElement
+
+        mutation._field(M.n)  # built once per n, before the count starts
+        calls = []
+        cancel = PolyElement.cancel
+        monkeypatch.setattr(PolyElement, "cancel", lambda *a: calls.append(a) or cancel(*a))
+        res = enumerate_cluster_variables(M)
+        assert not res.cap_reached and all(x.is_laurent() for x in res.variables)
+        assert calls == []
 
     def test_only_admitted_seeds_are_built(self):
         # B mutated at 2 has the entry 2**80.  The walk reaches that seed
