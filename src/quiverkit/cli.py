@@ -191,8 +191,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("mutate", help="mutate a seed or enumerate cluster variables")
     p.add_argument("--matrix", required=True, help="JSON rows, e.g. [[0,1],[-1,0]]")
-    p.add_argument("--steps", default="", help="1-based directions, e.g. 1,2,1")
-    p.add_argument("--enumerate", action="store_true")
+    walk = p.add_mutually_exclusive_group()
+    walk.add_argument("--steps", default="", help="1-based directions, e.g. 1,2,1")
+    walk.add_argument("--enumerate", action="store_true")
     p.add_argument("--cap", type=int, default=DEFAULT_SEED_CAP, help="seed cap for --enumerate")
     p.add_argument("--out", default=None)
 

@@ -4,8 +4,10 @@ The default vertex cap (5000) guards the isomorphism search and bounds
 the split of ``power(gamma(n*m, 1), m)`` that ``classify_components``
 and verify's power checks run on outside input: they refuse an (n, m)
 before building ``gamma(n*m, 1)`` when it would have more vertices than
-the cap.  ``QUIVERKIT_CAP`` in the environment overrides it.  The
-builders ``gamma``, ``power`` and ``orbit_quiver`` are not capped.
+the cap.  ``QUIVERKIT_CAP`` in the environment overrides it, and is
+the only way to set it, for library calls as well as the command line:
+no function takes a vertex cap argument.  The builders ``gamma``,
+``power`` and ``orbit_quiver`` are not capped.
 Angulation enumeration refuses, before it lists any, an (n, m) whose
 Fuss-Catalan count times ``n + m`` exceeds ``ANGULATION_WORK_CAP``
 (3000000), which nothing overrides: that product tracks the time of the
@@ -42,10 +44,3 @@ def default_vertex_cap() -> int:
     if cap < 1:
         raise ValueError(f"QUIVERKIT_CAP must be positive, got {raw!r}")
     return cap
-
-
-def _vertex_cap(cap: int | None) -> int:
-    """``cap``, or :func:`default_vertex_cap` for ``None``; ``ValueError`` unless positive."""
-    if cap is not None and cap < 1:
-        raise ValueError(f"cap must be positive, got {cap}")
-    return default_vertex_cap() if cap is None else cap

@@ -28,7 +28,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import Collection
 
-from .config import _vertex_cap
+from .config import default_vertex_cap
 from .errors import SizeCapError
 from .quiver import TranslationQuiver
 
@@ -117,18 +117,17 @@ def check_iso(a: TranslationQuiver, b: TranslationQuiver, phi: dict) -> bool:
     return {phi[y]: phi[ty] for y, ty in a.tau.items()} == b.tau
 
 
-def iso_translation_quivers(
-    a: TranslationQuiver, b: TranslationQuiver, cap: int | None = None
-) -> dict | None:
+def iso_translation_quivers(a: TranslationQuiver, b: TranslationQuiver) -> dict | None:
     """A vertex bijection a -> b respecting arrows and tau, or ``None``.
 
     The bijection is deterministic, but which one is returned when there
     are several is not specified beyond that.
 
-    Raises :class:`SizeCapError` when either side exceeds the vertex cap
-    (default 5000, overridable via ``QUIVERKIT_CAP``).
+    Raises :class:`SizeCapError` when either side exceeds
+    :func:`~quiverkit.config.default_vertex_cap` (5000 unless
+    ``QUIVERKIT_CAP`` sets it, the only way to set it).
     """
-    cap = _vertex_cap(cap)
+    cap = default_vertex_cap()
     if len(a.vertices) > cap or len(b.vertices) > cap:
         raise SizeCapError(
             f"isomorphism search capped at {cap} vertices "

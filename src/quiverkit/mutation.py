@@ -434,11 +434,10 @@ def _exchange(cluster: tuple[LaurentFraction, ...], rows, c: int) -> LaurentFrac
 
     Both products and their sum are built uncancelled in ZZ[u_1, ..., u_n];
     the division by ``cluster[c]`` alone puts the result in canonical form,
-    with no gcd when every entry is Laurent (module docstring).
+    with no gcd when every entry is Laurent (module docstring).  A zero
+    ``cluster[c]`` raises ``ZeroDivisionError`` from that division.
     """
     xk = cluster[c]
-    if xk.numerator.is_zero:
-        raise ZeroDivisionError("cannot mutate a seed whose active entry is zero")
     field = _field(len(cluster))
     pn = pd = nn = nd = field.ring.one
     for x, row in zip(cluster, rows):

@@ -194,7 +194,7 @@ def _component_law(n: int, m: int) -> list[tuple[int, int, int]]:
 
 
 def _match_component(
-    comp: TranslationQuiver, form: tuple[int, int, int], n: int, m: int, cap: int | None
+    comp: TranslationQuiver, form: tuple[int, int, int], n: int, m: int
 ) -> ComponentMatch:
     """Match ``comp`` to orbit_quiver(k, s, r) of the normal form ``form`` = (k, S, rho).
 
@@ -208,9 +208,7 @@ def _match_component(
         for q in range((m - rho) // 2 + 1)
         if k < n * m and 2 * q + rho >= 1 and S - (k + 1) * q >= 0
     )
-    if triples and iso_translation_quivers(
-        orbit_quiver(*triples[0]).quotient, comp, cap=cap
-    ) is None:
+    if triples and iso_translation_quivers(orbit_quiver(*triples[0]).quotient, comp) is None:
         triples = []
     return ComponentMatch(
         size=len(comp.vertices),
@@ -219,7 +217,7 @@ def _match_component(
     )
 
 
-def classify_components(n: int, m: int, cap: int | None = None) -> ComponentReport:
+def classify_components(n: int, m: int) -> ComponentReport:
     """Decompose the m-th power of the diagonal quiver and tag each component.
 
     The component through (1, m+2) is compared with gamma(n, m) for
@@ -230,7 +228,9 @@ def classify_components(n: int, m: int, cap: int | None = None) -> ComponentRepo
     ``all_matches`` lists every (k, s, r) with 1 <= r <= m, s >= 0 and
     k < n*m that gives the component's automorphism, least first;
     ``match`` is None when the test fails.  A law with more or fewer forms than components raises
-    ``ValueError``.
+    ``ValueError``.  An (n, m) whose ``gamma(n*m, 1)`` exceeds the vertex
+    cap raises :class:`~quiverkit.errors.SizeCapError`; only
+    ``QUIVERKIT_CAP`` sets that cap.
 
     The odd-m formula (r_f, s_f) = ((m-1)/2, (m-1)(n-1)/2 + 1) matches no
     component: the least match is (n, s_f + n + 1, 2*r_f), which is
@@ -240,14 +240,14 @@ def classify_components(n: int, m: int, cap: int | None = None) -> ComponentRepo
     :func:`_component_law`.  ``PAPER.md`` holds only the abstract, so
     whether the formula has a slip or another (s, r) convention is open.
     """
-    principal, rest = _gamma_power_components(n, m, cap)
+    principal, rest = _gamma_power_components(n, m)
     return ComponentReport(
         n=n,
         m=m,
         principal_size=len(principal.vertices),
         principal_is_gamma=principal == gamma(n, m),
         others=tuple(
-            _match_component(c, form, n, m, cap)
+            _match_component(c, form, n, m)
             for c, form in zip(rest, _component_law(n, m), strict=True)
         ),
     )

@@ -42,7 +42,7 @@ Both forms walk the base's sorted vertices, so a power lists in
 
 from __future__ import annotations
 
-from .config import _vertex_cap
+from .config import default_vertex_cap
 from .errors import SizeCapError
 # Not called here.  perfbench's tracer test lists this module among the
 # holders of the search that its tracer rebinds; drop this import together
@@ -149,22 +149,21 @@ def _count_sectional(tq: TranslationQuiver, m: int) -> TranslationQuiver:
     return TranslationQuiver._listed(q.sorted_vertices(), arrows, compose_tau(tq, m))
 
 
-def _gamma_power_components(
-    n: int, m: int, cap: int | None
-) -> tuple[TranslationQuiver, list[TranslationQuiver]]:
+def _gamma_power_components(n: int, m: int) -> tuple[TranslationQuiver, list[TranslationQuiver]]:
     """Components of ``power(gamma(n*m, 1), m)``: the one through (1, m+2), then the rest.
 
     Raises :class:`SizeCapError` when ``gamma(n*m, 1)`` has more vertices
-    than ``cap`` (default :func:`~quiverkit.config.default_vertex_cap`).
+    than :func:`~quiverkit.config.default_vertex_cap`, which only
+    ``QUIVERKIT_CAP`` sets.
     """
     if n < 2 or m < 1:
         raise ValueError(f"need n >= 2 and m >= 1, got n={n}, m={m}")
     N = n * m + 2
-    cap_val = _vertex_cap(cap)
+    cap = default_vertex_cap()
     base_size = N * (N - 3) // 2
-    if base_size > cap_val:
+    if base_size > cap:
         raise SizeCapError(
-            f"power decomposition capped at {cap_val} vertices "
+            f"power decomposition capped at {cap} vertices "
             f"(gamma({n * m},1) has {base_size})"
         )
     seed = (1, m + 2)

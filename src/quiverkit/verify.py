@@ -96,7 +96,7 @@ def check_octagon_vertices() -> tuple[bool, str]:
 
 
 def check_octagon_power_components() -> tuple[bool, str]:
-    big, rest = _gamma_power_components(3, 2, None)
+    big, rest = _gamma_power_components(3, 2)
     sizes = [len(c.vertices) for c in (big, *rest)]
     ok = sizes == [8, 6, 6] and big == gamma(3, 2)
     if ok:
@@ -120,7 +120,7 @@ def check_power_theorem_sweep() -> tuple[bool, str]:
         # Two diagonal quivers: == answers from N, step and vertices and
         # lists nothing.  Their listings are one function of those three, so
         # the answer is the one their listings would give.
-        if _gamma_power_components(n, m, None)[0] != gamma(n, m):
+        if _gamma_power_components(n, m)[0] != gamma(n, m):
             return False, (
                 f"failed at (n,m)=({n},{m}): component through (1, {m + 2}) of the "
                 f"{m}-th power of gamma({n * m},1) is not gamma({n},{m})"
@@ -159,9 +159,8 @@ def check_orbit_model_pinning() -> tuple[bool, str]:
 def random_sign_skew_matrix(rng: random.Random, n: int) -> ExchangeMatrix:
     """Random sign-skew-symmetric integer matrix with entries up to 4.
 
-    ``rng`` is a ``random.Random``, which ``verify --seed`` seeds.  A seed
-    draws other matrices than it did under the earlier array-library
-    generator; the check's result and detail text do not depend on it.
+    ``rng`` is a ``random.Random``, which ``verify --seed`` seeds; the
+    check's result and detail text do not depend on the seed.
     """
     m = [[0] * n for _ in range(n)]
     for i in range(n):
@@ -238,7 +237,7 @@ def check_angulations() -> tuple[bool, str]:
 def check_row_property() -> tuple[bool, str]:
     for n, m in ((2, 3), (3, 3)):
         N = n * m + 2
-        principal, rest = _gamma_power_components(n, m, None)
+        principal, rest = _gamma_power_components(n, m)
         rows: dict[int, set[int]] = {}
         for idx, comp in enumerate((principal, *rest)):
             for v in comp.vertices:

@@ -50,6 +50,16 @@ def test_check(name):
     report(name, result.ok, result.detail)
 
 
+def test_a_raising_check_is_a_failure(monkeypatch):
+    def broken():
+        raise KeyError("x")
+
+    monkeypatch.setattr(quiverkit.verify, "_CHECKS", [("broken", broken)])
+    [result] = run_checks()
+    assert (result.name, result.ok) == ("broken", False)
+    assert result.detail.startswith("raised KeyError:")
+
+
 def test_01_hexagon_fixture():
     elapsed = timed(lambda: gamma(4, 1))
     report("hexagon fixture", elapsed < 0.001, f"{elapsed * 1e6:.0f}us")

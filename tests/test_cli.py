@@ -211,6 +211,14 @@ class TestMutate:
         assert payload["cluster"] == ["(u_2 + 1) / u_1", "u_2"]
         assert payload["matrix_after"] == [[0, -1], [1, 0]]
 
+    def test_steps_with_enumerate_is_a_usage_error(self, capsys):
+        # Together, --enumerate would run the closure and ignore the walk.
+        with pytest.raises(SystemExit) as exc:
+            main(["mutate", "--matrix", "[[0,1],[-1,0]]", "--enumerate", "--steps", "1,2"])
+        out = capsys.readouterr()
+        assert (exc.value.code, out.out) == (2, "")
+        assert "argument --steps: not allowed with argument --enumerate" in out.err
+
     def test_enumerate(self, capsys):
         code, out, _ = run(
             capsys, "mutate", "--matrix", "[[0,1],[-1,0]]", "--enumerate"

@@ -248,6 +248,12 @@ class TestLaurentFraction:
         with pytest.raises(ZeroDivisionError):
             lf("u_1") / 0
 
+    def test_operand_checks(self):
+        with pytest.raises(ValueError, match="mixed numbers of variables"):
+            lf("u_1") + lf("u_1", 1)
+        with pytest.raises(ValueError, match="only non-negative integer powers"):
+            lf("u_1") ** -1
+
     @given(a=poly_dicts, b=poly_dicts, c=poly_dicts)
     @settings(max_examples=60, deadline=None)
     def test_reduction_is_canonical(self, a, b, c):
@@ -309,6 +315,19 @@ class TestSeedMutation:
     def test_direction_out_of_range(self):
         with pytest.raises(IndexError):
             mutate_seed(initial_seed(a_path_matrix(2)), 3)
+
+    def test_cluster_length_must_match_the_matrix(self):
+        with pytest.raises(ValueError, match="cluster length must equal the matrix dimension"):
+            Seed(cluster=(lf("u_1"),), matrix=a_path_matrix(2))
+
+    def test_zero_entries(self):
+        # A zero active entry fails in the exchange's division; a zero
+        # elsewhere is an ordinary factor of the exchange relation.
+        M = a_path_matrix(2)
+        with pytest.raises(ZeroDivisionError):
+            mutate_seed(Seed(cluster=(lf("0"), lf("u_2")), matrix=M), 1)
+        out = mutate_seed(Seed(cluster=(lf("u_1"), lf("0")), matrix=M), 1)
+        assert out.cluster == (lf("1/u_1"), lf("0"))
 
 
 def field_exchange(cluster, rows, c):

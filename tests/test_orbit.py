@@ -350,14 +350,15 @@ class TestClassification:
         assert d["principal"] == {"size": 4, "iso_gamma": True}
         assert d["others"] == [{"size": 16, "match": {"k": 2, "s": 5, "r": 2}}]
 
-    def test_size_cap(self):
+    def test_size_cap(self, monkeypatch):
+        monkeypatch.setenv("QUIVERKIT_CAP", "20")
         with pytest.raises(SizeCapError):
-            classify_components(4, 3, cap=20)
+            classify_components(4, 3)
 
 
 class TestNormalFormMatcher:
     def assert_agrees_with_search(self, comp, form, n, m):
-        got = _match_component(comp, form, n, m, None)
+        got = _match_component(comp, form, n, m)
         expected = searched_matches(comp, n, m)
         assert got.all_matches == expected
         assert got.match == (expected[0] if expected else None)
@@ -442,7 +443,7 @@ class TestNormalFormMatcher:
         comp = zd_quotient(6, 4)
         assert validate_translation_quiver(comp).stable
         self.assert_agrees_with_search(comp, (4, 6, 0), 3, 2)
-        assert _match_component(comp, (4, 6, 0), 3, 2, None).match is None
+        assert _match_component(comp, (4, 6, 0), 3, 2).match is None
 
     def test_classify_certifies_the_law(self, monkeypatch):
         # classify takes its forms from the law, and the iso test must

@@ -101,6 +101,7 @@ class TestDiagonals:
     def test_octagon_two_divisible_examples(self):
         assert is_m_diagonal((1, 4), 3, 2)
         assert not is_m_diagonal((1, 3), 3, 2)
+        assert not is_m_diagonal((1, 2), 3, 2)  # a side of the octagon
         assert sorted(m_diagonals(3, 2)) == [
             (1, 4), (1, 6), (2, 5), (2, 7), (3, 6), (3, 8), (4, 7), (5, 8),
         ]
@@ -109,6 +110,8 @@ class TestDiagonals:
         for n in range(2, 8):
             N = n + 2
             assert all(is_m_diagonal(d, n, 1) for d in diagonals(N))
+        with pytest.raises(ValueError, match="at least 3 vertices"):
+            diagonals(2)
 
     @given(n=st.integers(2, 6), m=st.integers(1, 4))
     @settings(max_examples=40, deadline=None)
@@ -245,6 +248,8 @@ class TestGamma:
         tq = gamma(3, 2)
         with pytest.raises(TypeError, match=r"gamma\(\)"):
             DiagonalQuiver(tq.quiver, dict(tq.tau))
+        # Names the lazy slots do not cover stay an AttributeError.
+        assert getattr(gamma(4, 1), "nope", None) is None
 
     def test_multiplicity_at_most_one(self):
         for n, m in ((6, 1), (3, 2), (2, 5)):

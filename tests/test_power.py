@@ -109,6 +109,8 @@ class TestSectional:
         g = gamma(5, 1)
         for p in sectional_paths(g, 3):
             assert is_sectional(p, g)
+        with pytest.raises(ValueError, match="non-negative"):
+            sectional_paths(g, -1)
 
     @given(mixed_translation_quivers(), st.integers(0, 4))
     @settings(max_examples=150, deadline=None)
@@ -287,7 +289,7 @@ class TestLazyListings:
 
     def test_vertices_and_equality_build_nothing(self, listing_builds):
         g = gamma(6, 2)
-        principal, rest = _gamma_power_components(6, 2, None)
+        principal, rest = _gamma_power_components(6, 2)
         assert (1, 4) in g.vertices and len(g.vertices) == 14 * 5 // 2
         assert g.vertices is g.vertices and set(g.sorted_vertices()) == g.vertices
         assert principal == g and g == principal
@@ -405,15 +407,15 @@ class TestDecompose:
 
 class TestPrincipalComponent:
     def test_octagon_case(self):
-        comp = _gamma_power_components(3, 2, None)[0]
+        comp = _gamma_power_components(3, 2)[0]
         assert iso_translation_quivers(comp, gamma(3, 2)) is not None
 
     def test_three_divisible_diagonals_of_the_octagon(self):
-        comp = _gamma_power_components(2, 3, None)[0]
+        comp = _gamma_power_components(2, 3)[0]
         assert sorted(comp.vertices) == [(1, 5), (2, 6), (3, 7), (4, 8)]
 
     def test_first_power_returns_the_quiver_itself(self):
-        comp = _gamma_power_components(4, 1, None)[0]
+        comp = _gamma_power_components(4, 1)[0]
         assert comp.vertices == gamma(4, 1).vertices
         assert comp.arrows == gamma(4, 1).arrows
 
@@ -423,11 +425,12 @@ class TestPrincipalComponent:
         pairs = _theorem_pairs() + [(40, 1), (46, 1)]
         assert len(pairs) == 25
         for n, m in pairs:
-            assert _gamma_power_components(n, m, None)[0] == gamma(n, m), (n, m)
+            assert _gamma_power_components(n, m)[0] == gamma(n, m), (n, m)
 
-    def test_size_cap(self):
+    def test_size_cap(self, monkeypatch):
+        monkeypatch.setenv("QUIVERKIT_CAP", "50")
         with pytest.raises(SizeCapError):
-            _gamma_power_components(10, 2, 50)
+            _gamma_power_components(10, 2)
 
     def test_failed_iso_fails_the_sweep_under_optimize(self):
         # ``python -O`` strips asserts; a principal component that is not
@@ -471,6 +474,6 @@ class TestPrincipalComponent:
 
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
-            _gamma_power_components(1, 1, None)
+            _gamma_power_components(1, 1)
         with pytest.raises(ValueError):
             power(gamma(4, 1), 0)

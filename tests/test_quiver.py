@@ -72,6 +72,8 @@ class TestValidation:
     def test_hexagon_quiver_is_valid_and_stable(self):
         res = validate_translation_quiver(gamma(4, 1))
         assert res.ok and res.stable and not res.violations
+        assert res
+        assert (1, 3) in gamma(4, 1).quiver
 
     def test_single_vertex_empty_tau(self):
         res = validate_translation_quiver(TranslationQuiver(Quiver(["x"]), {}))
@@ -84,6 +86,7 @@ class TestValidation:
         broken = TranslationQuiver(Quiver(g.vertices, arrows), dict(g.tau))
         res = validate_translation_quiver(broken)
         assert not res.ok
+        assert not res
         mesh = {(v.pair, v.counts) for v in res.violations if v.kind == "mesh"}
         # The deleted arrow participates in the meshes ending at (1,4) and
         # at (2,4); both recounts disagree, matching the brute-force oracle.
@@ -505,10 +508,11 @@ class TestIsomorphism:
         assert not check_iso(a, b, phi)
         assert check_iso(a, a, {v: v for v in a.vertices})
 
-    def test_size_cap(self):
+    def test_size_cap(self, monkeypatch):
+        monkeypatch.setenv("QUIVERKIT_CAP", "3")
         a = gamma(4, 1)
         with pytest.raises(SizeCapError):
-            iso_translation_quivers(a, a, cap=3)
+            iso_translation_quivers(a, a)
 
     def test_env_var_overrides_default_cap(self, monkeypatch):
         monkeypatch.setenv("QUIVERKIT_CAP", "4")
@@ -547,7 +551,7 @@ class TestIsomorphism:
     def test_argument_order_does_not_matter(self):
         # classify_components lists the other components in split order.
         match = classify_components(3, 7).others[0]
-        _, [comp, *_] = _gamma_power_components(3, 7, None)
+        _, [comp, *_] = _gamma_power_components(3, 7)
         assert len(comp.vertices) == match.size
         quotient = orbit_quiver(*match.match).quotient
         phi = iso_translation_quivers(quotient, comp)
