@@ -3,10 +3,11 @@
 Subcommands: gamma, power, classify, mutate, angulations, orbit, verify.
 Identical inputs produce byte-identical output.  Exit codes: 0 success,
 2 usage error (including an ``--out`` path that cannot be written, a
-``mutate --cap`` below 1 and a ``QUIVERKIT_CAP`` that is not a positive
-integer), 3 size cap exceeded, 4 verification failure.  ``classify``
-reports the principal component and, for every other one, the (k, s, r)
-match of its closed-form normal form, confirmed by an isomorphism test.
+``mutate --cap`` below 1 or without ``--enumerate``, and a
+``QUIVERKIT_CAP`` that is not a positive integer), 3 size cap exceeded,
+4 verification failure.  ``classify`` reports the principal component
+and, for every other one, the (k, s, r) match of its closed-form normal
+form, confirmed by an isomorphism test.
 sympy is imported on first use of a mutation field, so only ``mutate``, and
 the ``verify`` checks that mutate, load it.
 """
@@ -94,6 +95,8 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_mutate(args) -> int:
+    if args.cap is not None and not args.enumerate:
+        raise ValueError("--cap applies only to --enumerate")
     try:
         rows = json.loads(args.matrix)
     except json.JSONDecodeError as exc:
@@ -103,7 +106,9 @@ def _cmd_mutate(args) -> int:
     M = ExchangeMatrix(rows).validate()
     payload: dict = {"schema": SCHEMA, "matrix": M.rows()}
     if args.enumerate:
-        closure = enumerate_cluster_variables(M, cap=args.cap)
+        closure = enumerate_cluster_variables(
+            M, cap=DEFAULT_SEED_CAP if args.cap is None else args.cap
+        )
         rendered = sorted(x.render() for x in closure.variables)
         payload.update(
             {
@@ -194,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
     walk = p.add_mutually_exclusive_group()
     walk.add_argument("--steps", default="", help="1-based directions, e.g. 1,2,1")
     walk.add_argument("--enumerate", action="store_true")
-    p.add_argument("--cap", type=int, default=DEFAULT_SEED_CAP, help="seed cap for --enumerate")
+    p.add_argument("--cap", type=int, help="seed cap for --enumerate")
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("angulations", help="maximal non-crossing diagonal collections")

@@ -318,58 +318,45 @@ def split_components(tq: TranslationQuiver) -> list[TranslationQuiver]:
     plain quiver ``q`` splits by its arrows alone as
     ``TranslationQuiver(q, {})``.
 
-    The parts are found without a graph search.  Each unlabelled vertex,
-    taken in sorted order, starts a chain that follows tau while it meets
-    new vertices; a chain that runs into an earlier one is united with it.
-    The chains are then united over the arrows in a small union-find.
-    One scan of the arrows and tau pairs gives each part its listings in
-    the parent's :func:`vertex_key` order, which go to
-    ``TranslationQuiver._listed`` unsorted.  A diagonal quiver skips all
-    of that: its ``_split`` groups the sorted vertices by a closed-form
-    key (see :class:`~quiverkit.polygon.DiagonalQuiver`) into parts in the
-    same order, each a diagonal quiver that has not built its listings.
+    A walk over those edges, started at each unvisited vertex in sorted
+    order, labels the parts; each gets its listings in the parent's
+    :func:`vertex_key` order, which go to ``TranslationQuiver._listed``
+    unsorted.  A diagonal quiver skips the walk: its ``_split`` groups the
+    sorted vertices by a closed-form key (see
+    :class:`~quiverkit.polygon.DiagonalQuiver`) into parts in the same
+    order, each a diagonal quiver that has not built its listings.
     """
     split = getattr(tq, "_split", None)
     if split is not None:
         return split()
     quiver, tau = tq.quiver, tq._tau
-    chain: dict[Vertex, int] = {}
-    parent: list[int] = []
-
-    def find(c: int) -> int:
-        while parent[c] != c:
-            parent[c] = parent[parent[c]]
-            c = parent[c]
-        return c
-
+    near: dict[Vertex, list[Vertex]] = {v: [] for v in quiver._sorted}
+    for s, t in (*quiver._arrows, *tau.items()):
+        near[s].append(t)
+        near[t].append(s)
+    part: dict[Vertex, int] = {}
+    members: list[list[Vertex]] = []
     for v in quiver._sorted:
-        if v in chain:
-            continue
-        c = len(parent)
-        parent.append(c)
-        while v not in chain:
-            chain[v] = c
-            v = tau.get(v, v)
-        parent[c] = find(chain[v])
-    for a, b in {(chain[s], chain[t]) for s, t in quiver._arrows}:
-        parent[find(a)] = find(b)
-    root = [find(c) for c in range(len(parent))]
-    members: dict[int, list[Vertex]] = {}
-    for v in quiver._sorted:
-        members.setdefault(root[chain[v]], []).append(v)
-    # Roots come in order of their least vertex; the sort by size is stable.
-    roots = sorted(members, key=lambda r: len(members[r]), reverse=True)
-    index = {r: i for i, r in enumerate(roots)}
-    part = [index[r] for r in root]
-    arrows: list[list[Arrow]] = [[] for _ in roots]
-    taus: list[dict] = [{} for _ in roots]
+        if v not in part:
+            part[v] = len(members)
+            members.append([])
+            stack = [v]
+            while stack:
+                for w in near[stack.pop()]:
+                    if w not in part:
+                        part[w] = part[v]
+                        stack.append(w)
+        members[part[v]].append(v)
+    arrows: list[list[Arrow]] = [[] for _ in members]
+    taus: list[dict] = [{} for _ in members]
     for s, t in quiver._arrows:
-        arrows[part[chain[s]]].append((s, t))
+        arrows[part[s]].append((s, t))
     for y, ty in tau.items():
-        taus[part[chain[y]]][y] = ty
-    return [
-        TranslationQuiver._listed(members[r], a, t) for r, a, t in zip(roots, arrows, taus)
-    ]
+        taus[part[y]][y] = ty
+    parts = [TranslationQuiver._listed(*listings) for listings in zip(members, arrows, taus)]
+    # Parts come in order of their least vertex; the sort by size is stable.
+    parts.sort(key=lambda p: len(p.vertices), reverse=True)
+    return parts
 
 
 def tau_orbits(tq: TranslationQuiver) -> list[tuple[Vertex, ...]]:

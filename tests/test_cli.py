@@ -200,6 +200,14 @@ class TestCaps:
         assert (exc.value.code, out.out) == (2, "")
         assert "unrecognized arguments: --cap 5" in out.err
 
+    @pytest.mark.parametrize("walk", [("--steps", "1"), ()], ids=["steps", "no-mode"])
+    @pytest.mark.parametrize("cap", ["5", "-5"])
+    def test_mutate_cap_without_enumerate_is_a_usage_error(self, capsys, walk, cap):
+        # The seed cap bounds only the closure: elsewhere it is refused, never ignored.
+        code, out, err = run(capsys, "mutate", "--matrix", "[[0,1],[-1,0]]", *walk, "--cap", cap)
+        assert (code, out) == (2, "")
+        assert err == "error: --cap applies only to --enumerate\n"
+
 
 class TestMutate:
     def test_steps(self, capsys):

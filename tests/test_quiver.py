@@ -366,7 +366,7 @@ class TestSplitComponents:
             assert part == ref and _listings(part) == _listings(ref)
 
     def test_diagonal_quivers_split_as_their_plain_copies(self):
-        # The closed-form key split against the union-find on a plain copy:
+        # The closed-form key split against the walk on a plain copy:
         # every power(gamma(n, m), k) of a polygon with n <= 11, m <= 5, and
         # powers 2 and 3 of its two largest parts (4913 cases, about 1 s).
         def agree(dq):
